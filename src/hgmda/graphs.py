@@ -5,9 +5,14 @@ Third-order structure compares triangles across domains through the sines of
 their interior angles, which are invariant to translation, rotation, and
 uniform scaling. Building the full tensor is O((n_s n_t)^3), so only a
 sampled subset of source triangles is matched against a sampled pool of
-target triangles and the k nearest pairs (by feature distance) are stored.
-Entries are replicated over the 6 simultaneous permutations of the three
-(source, target) slots so the stored tensor is symmetric.
+target triangles and the k nearest pairs (by feature distance) are kept.
+
+The tensor is symmetric under the 6 simultaneous permutations of its three
+(source, target) slots, and the three pair indices of an entry always
+differ (a source triangle has three distinct vertices). So each unordered
+triangle pair is stored once, with its pair indices in ascending order, and
+the contraction in objective.f3_and_grad scales by 6 for the other five
+permutations.
 """
 
 from __future__ import annotations
@@ -69,28 +74,15 @@ def triangle_feature(a, b, c):
     return np.minimum(sines, 1.0)
 
 
-def gamma_heuristic(source_feats, target_feats):
-    """gamma = 1 / mean squared distance between paired triangle features.
-
-    Falls back to 1.0 when the mean is zero (identical geometry).
-    """
-    source_feats = np.atleast_2d(np.asarray(source_feats, dtype=float))
-    target_feats = np.atleast_2d(np.asarray(target_feats, dtype=float))
-    if source_feats.shape[0] == 0:
-        raise ValueError("empty feature sample")
-    mean_sq = float(((source_feats - target_feats) ** 2).sum(axis=1).mean())
-    if mean_sq == 0.0:
-        return 1.0
-    return 1.0 / mean_sq
-
-
 @dataclass(frozen=True)
 class SparseTensor3:
     """Sparse symmetric third-order tensor over source-target pair indices.
 
-    Modes are indexed by p = i_s * n_t + i_t. Entry slots p1, p2, p3 carry
-    the value exp(-gamma * ||f_source - f_target||^2) for the underlying
-    triangle pair, replicated over all 6 simultaneous slot permutations.
+    Modes are indexed by p = i_s * n_t + i_t. Each unordered triangle pair
+    is one entry, stored once with p1 < p2 < p3 and sorted by that triple;
+    it carries the value exp(-gamma * ||f_source - f_target||^2) in (0, 1].
+    The full symmetric tensor holds the same value at all 6 permutations of
+    (p1, p2, p3), which the stored entries stand for.
     """
 
     p1: np.ndarray
@@ -198,41 +190,20 @@ def build_sparse_tensor(
     gamma = 1.0 if mean_sq == 0.0 else 1.0 / mean_sq
     vals = np.exp(-gamma * cand_d2)
 
-    # dedup by sorted slot key first so every unordered triangle pair keeps a
-    # single value (re-sampled orbits can differ in the last float bits),
-    # then replicate over the 6 simultaneous slot permutations
+    # one entry per unordered triangle pair, slots in ascending order; the
+    # first sampled copy wins (re-sampled pairs can differ in the last float
+    # bits), and np.unique leaves the entries sorted by their key
     canon = np.sort(pairs, axis=1)
     keys = (canon[:, 0] * N + canon[:, 1]) * N + canon[:, 2]
     _, keep = np.unique(keys, return_index=True)
-    pairs = pairs[keep]
-    vals = vals[keep]
-
-    slot_orders = list(permutations(range(3)))
-    p_all = np.vstack([pairs[:, perm] for perm in slot_orders])
-    v_all = np.tile(vals, len(slot_orders))
-    keys = (p_all[:, 0] * N + p_all[:, 1]) * N + p_all[:, 2]
-    order = np.argsort(keys, kind="stable")
-    p_kept = p_all[order]
-    v_all = v_all[order]
+    canon = canon[keep]
 
     return SparseTensor3(
-        p1=p_kept[:, 0],
-        p2=p_kept[:, 1],
-        p3=p_kept[:, 2],
-        values=v_all,
+        p1=canon[:, 0],
+        p2=canon[:, 1],
+        p3=canon[:, 2],
+        values=vals[keep],
         gamma=gamma,
         ns=ns,
         nt=nt,
     )
-
-
-def dump_tensor_csv(tensor, path):
-    """Debug dump of tensor entries as is,it,js,jt,ks,kt,value rows."""
-    nt = tensor.nt
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("is,it,js,jt,ks,kt,value\n")
-        for p1, p2, p3, v in zip(tensor.p1, tensor.p2, tensor.p3, tensor.values):
-            fh.write(
-                f"{p1 // nt},{p1 % nt},{p2 // nt},{p2 % nt},"
-                f"{p3 // nt},{p3 % nt},{v:.17g}\n"
-            )

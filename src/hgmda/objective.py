@@ -99,8 +99,13 @@ def f2_and_grad(C, ctx):
 
 
 def f3_and_grad(C, ctx):
-    """Triple contraction of the sparse tensor with c = vec(C), and its
-    gradient assembled from the three partial contractions."""
+    """Triple contraction of the symmetric tensor with c = vec(C), and its
+    gradient assembled from the three partial contractions.
+
+    Each stored entry stands for the 6 permutations of its distinct pair
+    indices, so the contraction over the stored entries is scaled by 6; in
+    the gradient each index collects 2 permutations from each of 3 slots.
+    """
     H = ctx.tensor
     if H is None or H.m == 0:
         return 0.0, np.zeros_like(C)
@@ -109,8 +114,8 @@ def f3_and_grad(C, ctx):
     w1 = c[H.p1]
     w2 = c[H.p2]
     w3 = c[H.p3]
-    value = float(np.dot(H.values, w1 * w2 * w3))
-    grad = (
+    value = 6.0 * float(np.dot(H.values, w1 * w2 * w3))
+    grad = 6.0 * (
         np.bincount(H.p1, weights=H.values * w2 * w3, minlength=n)
         + np.bincount(H.p2, weights=H.values * w1 * w3, minlength=n)
         + np.bincount(H.p3, weights=H.values * w1 * w2, minlength=n)

@@ -38,7 +38,6 @@ class AdaptationConfig:
     ridge_mu: float = 1e-3
     seed: int = 0
     warm_start: bool = True
-    cache_target_exemplars: bool = True
     ap: APConfig = field(default_factory=APConfig)
 
     def __post_init__(self):
@@ -106,16 +105,15 @@ def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
     current = source.features.astype(float).copy()
     weights = ObjectiveWeights(lam2=cfg.lam2, lam3=cfg.lam3, lam_g=cfg.lam_g)
 
-    tgt_ex = None
-    sigma_t = None
+    # the target never moves, so its exemplars and bandwidth are fixed
+    tgt_ex = select_exemplars(target, cfg.eta, cfg.ap)
+    sigma_t = sigma_heuristic(tgt_ex.features)
+    Dt = adjacency_matrix(tgt_ex.features, sigma_t)
     rounds = []
     C_star = None
     for round_index in range(1, cfg.n_outer + 1):
         t0 = time.perf_counter()
         src_ex = select_exemplars(current, cfg.eta, cfg.ap, labels=source.labels)
-        if tgt_ex is None or not cfg.cache_target_exemplars:
-            tgt_ex = select_exemplars(target, cfg.eta, cfg.ap)
-            sigma_t = sigma_heuristic(tgt_ex.features)
         if src_ex.count < 3 or tgt_ex.count < 3:
             raise ValueError(
                 f"round {round_index}: need at least 3 exemplars per domain, "
@@ -124,7 +122,6 @@ def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
 
         sigma_s = sigma_heuristic(src_ex.features)
         Ds = adjacency_matrix(src_ex.features, sigma_s)
-        Dt = adjacency_matrix(tgt_ex.features, sigma_t)
         tensor = None
         if cfg.lam3 > 0.0:
             tensor = build_sparse_tensor(

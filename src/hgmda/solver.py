@@ -27,10 +27,8 @@ tilt.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -50,15 +48,13 @@ RESIDUAL_CHECK_EVERY = 25
 
 @dataclass
 class AdmmState:
-    """Primal blocks, consensus variable, and duals of the LP splitting.
+    """Consensus variable and duals of the LP splitting (the primal blocks
+    are recomputed from them each sweep).
 
     Because every call renormalizes G to the same working magnitude, carried
     duals keep a consistent scale across warm starts.
     """
 
-    C1: np.ndarray
-    C2: np.ndarray
-    C3: np.ndarray
     Z: np.ndarray
     Y1: np.ndarray
     Y2: np.ndarray
@@ -74,32 +70,33 @@ class AdmmState:
         would otherwise just grow the duals to that magnitude."""
         ns, nt = len(a), len(b)
         Z = np.tile((np.asarray(a, dtype=float) / nt)[:, None], (1, nt))
-        C1, C2, C3 = (np.zeros((ns, nt)) for _ in range(3))
         if Gw is None:
             Y1, Y2, Y3 = (np.zeros((ns, nt)) for _ in range(3))
         else:
             Y1 = -Gw / 2.0
             Y2 = -Gw / 2.0
             Y3 = Gw.copy()
-        return cls(C1=C1, C2=C2, C3=C3, Z=Z, Y1=Y1, Y2=Y2, Y3=Y3)
+        return cls(Z=Z, Y1=Y1, Y2=Y2, Y3=Y3)
 
 
 def admm_lp(G, a, b, iters=300, state=None, gradient_scale=None):
     """Approximately minimize Tr(G^T C) over
     {C >= 0, C 1 = a, C^T 1 = b} by three-block consensus ADMM.
 
-    Runs at most iters sweeps, stopping early once the primal residual
-    max |Ci - Z| and the dual residual max |Z - Z_prev| are both below
-    RESIDUAL_TOL at a check made every RESIDUAL_CHECK_EVERY sweeps. Returns
-    (C, state): C is the final consensus variable with small ADMM negatives
-    clamped to zero, state can be passed back in to warm-start the next
-    call and counts the sweeps run in state.iterations. gradient_scale
+    Runs at most iters (>= 1) sweeps, stopping early once the primal
+    residual max |Ci - Z| and the dual residual max |Z - Z_prev| are both
+    below RESIDUAL_TOL at a check made every RESIDUAL_CHECK_EVERY sweeps.
+    Returns (C, state): C is the final consensus variable with small ADMM
+    negatives clamped to zero, state can be passed back in to warm-start the
+    next call and counts the sweeps run in state.iterations. gradient_scale
     overrides the standalone working magnitude; calls that share a state
     must use the same value, or the carried duals land at the wrong scale.
     """
     ns, nt = G.shape
     if len(a) != ns or len(b) != nt:
         raise ValueError("marginal lengths do not match the gradient shape")
+    if iters < 1:
+        raise ValueError("admm_lp needs at least 1 sweep")
     if gradient_scale is None:
         gradient_scale = GRADIENT_SCALE
     scale = np.abs(G).max()
@@ -108,7 +105,6 @@ def admm_lp(G, a, b, iters=300, state=None, gradient_scale=None):
         state = AdmmState.cold(a, b, Gw)
     Z, Y1, Y2, Y3 = state.Z, state.Y1, state.Y2, state.Y3
     half = Gw / 2.0
-    sweeps = 0
     for sweeps in range(1, iters + 1):
         Z_prev = Z
         W = Z - half
@@ -126,8 +122,7 @@ def admm_lp(G, a, b, iters=300, state=None, gradient_scale=None):
             primal = max(np.abs(R1).max(), np.abs(R2).max(), np.abs(R3).max())
             if primal < RESIDUAL_TOL and np.abs(Z - Z_prev).max() < RESIDUAL_TOL:
                 break
-    state.C1, state.C2, state.C3, state.Z = C1, C2, C3, Z
-    state.Y1, state.Y2, state.Y3 = Y1, Y2, Y3
+    state.Z, state.Y1, state.Y2, state.Y3 = Z, Y1, Y2, Y3
     state.iterations += sweeps
     return np.maximum(Z, 0.0), state
 
@@ -234,18 +229,3 @@ def cg_solve(ctx, weights, C0=None, cg_iters=20, admm_iters=300, warm_start=True
     diag.gap_trace.append(diag.final_gap)
     diag.wall_time = time.perf_counter() - start
     return C, diag
-
-
-def permutation_minimum(G):
-    """Exact LP minimum over permutation matrices by enumeration.
-
-    Diagnostic reference for square instances only (n! cost); the solver
-    itself never calls this.
-    """
-    n = G.shape[0]
-    if G.shape != (n, n):
-        raise ValueError("permutation enumeration needs a square matrix")
-    best = np.inf
-    for perm in itertools.permutations(range(n)):
-        best = min(best, float(G[np.arange(n), perm].sum()))
-    return best

@@ -53,11 +53,18 @@ def triangle_sines(a, b, c):
 
 
 def dense_tensor(entries, ns, nt):
-    """Materialize sparse third-order entries as a dense (N, N, N) array."""
+    """Materialize canonical sparse third-order entries as a dense symmetric
+    (N, N, N) array, writing each value at every distinct permutation of its
+    index triple. An index triple written twice means the sparse tensor
+    holds a duplicate entry, and fails here rather than being overwritten."""
     N = ns * nt
     H = np.zeros((N, N, N))
+    written = np.zeros((N, N, N), dtype=bool)
     for p, q, r, v in entries:
-        H[p, q, r] = v
+        for idx in set(itertools.permutations((int(p), int(q), int(r)))):
+            assert not written[idx], f"index triple {idx} stored twice"
+            written[idx] = True
+            H[idx] = v
     return H
 
 

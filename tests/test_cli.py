@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from hgmda.cli import main
+from hgmda.cli import _permutation_minimum, main
 from hgmda.data import load_features, write_features
 from hgmda.synthetic import rotated_gaussian_task
+
+from oracles import permutation_minimum as oracle_perm_min
 
 
 @pytest.fixture
@@ -140,6 +142,17 @@ class TestLpCheckCommand:
         code = main(["lp-check", "--n", "9"])
         assert code == 1
         capsys.readouterr()
+
+    def test_zero_admm_iters_is_exit_one(self, capsys):
+        code = main(["lp-check", "--n", "3", "--trials", "1", "--admm-iters", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_permutation_minimum_matches_oracle(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            G = rng.normal(size=(4, 4))
+            assert _permutation_minimum(G) == pytest.approx(oracle_perm_min(G))
 
 
 class TestArgumentHandling:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from hgmda.graphs import (
     adjacency_matrix,
     build_sparse_tensor,
-    dump_tensor_csv,
-    gamma_heuristic,
     sigma_heuristic,
     triangle_feature,
 )
@@ -103,21 +101,37 @@ class TestTriangleFeature:
 
 
 class TestGammaHeuristic:
+    """gamma as build_sparse_tensor sets it: 1 / the mean squared distance
+    between paired triangle features over all candidate pairs, or 1.0 when
+    that mean is zero."""
+
+    def test_mean_over_candidate_pairs(self):
+        # one source triangle against the 6 vertex orderings of the target
+        rng = np.random.default_rng(11)
+        Xs = rng.normal(size=(3, 2))
+        Xt = rng.normal(size=(3, 2))
+        tensor = build_sparse_tensor(Xs, Xt, exhaustive=True)
+        fs = triangle_sines(*Xs)
+        d2 = [
+            ((fs - triangle_sines(*Xt[list(order)])) ** 2).sum()
+            for order in itertools.permutations(range(3))
+        ]
+        assert tensor.m == 6
+        assert tensor.gamma == pytest.approx(1.0 / np.mean(d2), rel=1e-9)
+
     def test_identical_pairs_fall_back(self):
-        f = np.array([[0.5, 0.5, 0.5]])
-        assert gamma_heuristic(f, f) == 1.0
-
-    def test_mean_of_two(self):
-        fs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        ft = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        assert gamma_heuristic(fs, ft) == pytest.approx(0.5)
-
-    def test_single_pair(self):
-        assert gamma_heuristic([[2.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]) == pytest.approx(0.25)
+        # the corners of the unit simplex and a scaled, shifted copy give
+        # bit-identical sines in every vertex order: zero mean distance
+        Xs = np.eye(3)
+        Xt = 2.0 * np.eye(3) + 5.0
+        tensor = build_sparse_tensor(Xs, Xt, exhaustive=True)
+        assert tensor.gamma == 1.0
+        assert np.all(tensor.values == 1.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_heuristic(np.zeros((0, 3)), np.zeros((0, 3)))
+        # coincident target points leave no triangle to pair with
+        with pytest.raises(ValueError, match="no valid triangles"):
+            build_sparse_tensor(np.eye(3), np.zeros((4, 3)), exhaustive=True)
 
 
 def decode(tensor):
@@ -154,16 +168,18 @@ class TestBuildSparseTensor:
         assert np.all(tensor.values > 0.0)
         assert np.all(tensor.values <= 1.0)
 
-    def test_slot_permutation_closure(self):
+    def test_canonical_layout(self):
+        # 4 source points give only 4 triangles, so the per-node samples
+        # re-draw the same unordered pairs many times over
         rng = np.random.default_rng(9)
         tensor = build_sparse_tensor(
             rng.normal(size=(4, 2)), rng.normal(size=(5, 2)), t_per_node=3, knn=4, seed=2
         )
-        entries = {(a, b, c): v for a, b, c, v in decode(tensor)}
-        for (a, b, c), v in entries.items():
-            for perm in itertools.permutations((a, b, c)):
-                assert perm in entries
-                assert entries[perm] == v
+        assert tensor.m > 0
+        assert np.all(tensor.p1 < tensor.p2)
+        assert np.all(tensor.p2 < tensor.p3)
+        triples = list(zip(tensor.p1.tolist(), tensor.p2.tolist(), tensor.p3.tolist()))
+        assert triples == sorted(set(triples))
 
     def test_sparse_matches_dense_oracle(self):
         rng = np.random.default_rng(21)
@@ -203,16 +219,3 @@ class TestBuildSparseTensor:
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least 3"):
             build_sparse_tensor(np.zeros((2, 2)), np.zeros((5, 2)))
-
-    def test_csv_dump(self, tmp_path):
-        rng = np.random.default_rng(15)
-        tensor = build_sparse_tensor(
-            rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), t_per_node=2, knn=2, seed=3
-        )
-        path = tmp_path / "tensor.csv"
-        dump_tensor_csv(tensor, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "is,it,js,jt,ks,kt,value"
-        assert len(lines) == tensor.m + 1
-        first = lines[1].split(",")
-        assert len(first) == 7

@@ -108,14 +108,13 @@ class TestF2:
 
 
 def single_orbit_tensor(h, slots, ns, nt):
-    import itertools
-
-    perms = np.array(list(itertools.permutations(slots)), dtype=int)
+    """One canonical entry, standing for the 6 permutations of slots."""
+    p1, p2, p3 = sorted(slots)
     return SparseTensor3(
-        p1=perms[:, 0],
-        p2=perms[:, 1],
-        p3=perms[:, 2],
-        values=np.full(len(perms), h),
+        p1=np.array([p1]),
+        p2=np.array([p2]),
+        p3=np.array([p3]),
+        values=np.array([h]),
         gamma=1.0,
         ns=ns,
         nt=nt,
@@ -138,7 +137,7 @@ class TestF3:
         ctx = ObjectiveContext(X, X, np.zeros((3, 3)), np.zeros((3, 3)), tensor=tensor)
         v, g = f3_and_grad(np.eye(3), ctx)
         assert v == pytest.approx(6.0 * h)
-        # each diagonal slot collects the full orbit: 3 partials x 2 entries
+        # each diagonal slot collects the full orbit: 3 slots x 2 permutations
         assert np.allclose(np.diag(g), 6.0 * h)
         off = g[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 0.0)

@@ -147,16 +147,6 @@ class TestAdaptLoop:
         assert np.array_equal(first.adapted, second.adapted)
         assert np.array_equal(first.matching, second.matching)
 
-    def test_cached_and_fresh_target_exemplars_agree(self):
-        # the target never moves, so re-selecting its exemplars each round
-        # must reproduce the cached selection exactly
-        src, Xt = blob_pair()
-        base = dict(eta=0.5, lam2=0.01, lam_g=0.01, n_outer=2, cg_iters=8, admm_iters=800)
-        cached = adapt(src, Xt, AdaptationConfig(cache_target_exemplars=True, **base))
-        fresh = adapt(src, Xt, AdaptationConfig(cache_target_exemplars=False, **base))
-        assert np.array_equal(cached.target_exemplars, fresh.target_exemplars)
-        assert np.array_equal(cached.adapted, fresh.adapted)
-
     def test_source_array_not_mutated(self):
         src, Xt = blob_pair()
         before = src.features.copy()
