@@ -10,7 +10,11 @@ grids are searched per task and the best mean is reported.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import logging
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -18,7 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .data import LabeledDataset, load_dataset, load_features, load_labels, pairwise_sq_dists
-from .pipeline import AdaptationConfig, adapt
+from .pipeline import AdaptationConfig, _reuse_rounds, adapt
+
+log = logging.getLogger(__name__)
 
 
 def knn_predict(train: LabeledDataset, test_X):
@@ -128,6 +134,7 @@ def run_task(spec: ExperimentSpec, seed=0):
     na_held = np.zeros(spec.trials)
 
     for trial in range(spec.trials):
+        started = time.perf_counter()
         ss = np.random.SeedSequence([seed, trial])
         child_sample, child_adapt = ss.spawn(2)
         rng = np.random.default_rng(child_sample)
@@ -144,18 +151,24 @@ def run_task(spec: ExperimentSpec, seed=0):
         na[trial] = accuracy(knn_predict(sampled, Xa), ya)
         na_held[trial] = accuracy(knn_predict(sampled, Xh), yh)
 
-        for ci, (lam2, lam3, n_outer) in enumerate(combos):
-            cfg = replace(
-                spec.config, lam2=lam2, lam3=lam3, n_outer=n_outer, seed=adapt_seed
-            )
-            result = adapt(sampled, Xa, cfg)
-            adapted = LabeledDataset(
-                features=result.adapted,
-                labels=sampled.labels,
-                num_classes=sampled.num_classes,
-            )
-            acc[ci, trial] = accuracy(knn_predict(adapted, Xa), ya)
-            held[ci, trial] = accuracy(knn_predict(adapted, Xh), yh)
+        # combos that differ only in n_outer share their leading rounds
+        with _reuse_rounds():
+            for ci, (lam2, lam3, n_outer) in enumerate(combos):
+                cfg = replace(
+                    spec.config, lam2=lam2, lam3=lam3, n_outer=n_outer, seed=adapt_seed
+                )
+                result = adapt(sampled, Xa, cfg)
+                adapted = LabeledDataset(
+                    features=result.adapted,
+                    labels=sampled.labels,
+                    num_classes=sampled.num_classes,
+                )
+                acc[ci, trial] = accuracy(knn_predict(adapted, Xa), ya)
+                held[ci, trial] = accuracy(knn_predict(adapted, Xh), yh)
+        log.info(
+            "%s: trial %d/%d done in %.1f s",
+            spec.name, trial + 1, spec.trials, time.perf_counter() - started,
+        )
 
     best = int(np.argmax(acc.mean(axis=1)))
     lam2, lam3, n_outer = combos[best]
@@ -186,6 +199,7 @@ def run_benchmark(specs, seed=0):
         try:
             rows.append((spec.name, run_task(spec, seed=seed)))
         except Exception as exc:  # noqa: BLE001 - isolation contract
+            log.exception("task %s failed", spec.name)
             rows.append((spec.name, f"error: {exc}"))
     return rows
 
@@ -195,28 +209,29 @@ def benchmark_table(rows):
 
     The CSV stores fractions; the pretty table shows percentages.
     """
-    header = (
-        "task,na_mean,adapted_mean,na_held_mean,adapted_held_mean,"
-        "best_lam2,best_lam3,best_n_outer,error"
-    )
-    csv_lines = [header]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([
+        "task", "na_mean", "adapted_mean", "na_held_mean", "adapted_held_mean",
+        "best_lam2", "best_lam3", "best_n_outer", "error",
+    ])
     pretty = [f"{'task':<12} {'NA %':>7} {'Ours %':>7} {'held %':>7}  best (lam2, lam3, N_T)"]
     for name, rec in rows:
         if isinstance(rec, str):
-            csv_lines.append(f"{name},,,,,,,,{rec}")
+            writer.writerow([name, "", "", "", "", "", "", "", rec])
             pretty.append(f"{name:<12} {rec}")
             continue
-        csv_lines.append(
-            f"{name},{rec.na_mean:.6f},{rec.mean:.6f},{rec.na_held_mean:.6f},"
-            f"{rec.held_mean:.6f},{rec.best_lam2:g},{rec.best_lam3:g},"
-            f"{rec.best_n_outer},"
-        )
+        writer.writerow([
+            name, f"{rec.na_mean:.6f}", f"{rec.mean:.6f}", f"{rec.na_held_mean:.6f}",
+            f"{rec.held_mean:.6f}", f"{rec.best_lam2:g}", f"{rec.best_lam3:g}",
+            rec.best_n_outer, "",
+        ])
         pretty.append(
             f"{name:<12} {100 * rec.na_mean:>7.2f} {100 * rec.mean:>7.2f} "
             f"{100 * rec.held_mean:>7.2f}  ({rec.best_lam2:g}, {rec.best_lam3:g}, "
             f"{rec.best_n_outer})"
         )
-    return "\n".join(csv_lines) + "\n", "\n".join(pretty) + "\n"
+    return buffer.getvalue(), "\n".join(pretty) + "\n"
 
 
 def load_benchmark_file(path):

@@ -1,8 +1,13 @@
+import copy
+import csv
 import json
+import logging
 
 import numpy as np
 import pytest
 
+import hgmda.evaluation
+import hgmda.pipeline
 from hgmda.data import LabeledDataset, write_features
 from hgmda.evaluation import (
     ExperimentSpec,
@@ -13,7 +18,7 @@ from hgmda.evaluation import (
     run_benchmark,
     run_task,
 )
-from hgmda.pipeline import AdaptationConfig
+from hgmda.pipeline import AdaptationConfig, adapt
 from hgmda.synthetic import rotated_gaussian_task
 
 
@@ -133,6 +138,91 @@ class TestRunTask:
         assert len(rec.per_trial) == 1
 
 
+def without_wall_times(rounds):
+    """A deep copy of round records minus their (round and solver) timings."""
+    rounds = copy.deepcopy(rounds)
+    for r in rounds:
+        del r["wall_time"], r["solver"]["wall_time"]
+    return rounds
+
+
+class TestRoundReuse:
+    """run_task lets combos that differ only in N_T share their leading
+    rounds; every combo must still get what a fresh adapt would return."""
+
+    def grid_spec(self, tmp_path, n_outer_grid):
+        return small_spec(
+            write_task_files(tmp_path), trials=1, lam2_grid=(0.01, 0.1),
+            n_outer_grid=n_outer_grid,
+        )
+
+    def capture_adapts(self, monkeypatch, mutate_previous=False):
+        """Wrap run_task's adapt; keeps (cfg, copies of the result's arrays
+        and rounds). With mutate_previous, every earlier result is scribbled
+        over in place before the next combo runs."""
+        seen, returned = [], []
+
+        def keep(source, target, cfg):
+            if mutate_previous:
+                for res in returned:
+                    res.adapted += 100.0
+                    res.matching[:] = -1.0
+                    res.source_exemplars[:] = 0
+                    res.target_exemplars[:] = 0
+                    res.rounds[0]["objective"] = np.nan
+                    res.rounds[0]["solver"]["objective_trace"].clear()
+            res = adapt(source, target, cfg)
+            seen.append((source, target, cfg, res.adapted.copy(), res.matching.copy(),
+                         res.source_exemplars.copy(), res.target_exemplars.copy(),
+                         without_wall_times(res.rounds)))
+            returned.append(res)
+            return res
+
+        monkeypatch.setattr(hgmda.evaluation, "adapt", keep)
+        return seen
+
+    def assert_match_fresh(self, seen):
+        for source, target, cfg, adapted, matching, src_ex, tgt_ex, rounds in seen:
+            fresh = adapt(source, target, cfg)
+            assert np.array_equal(adapted, fresh.adapted)
+            assert np.array_equal(matching, fresh.matching)
+            assert np.array_equal(src_ex, fresh.source_exemplars)
+            assert np.array_equal(tgt_ex, fresh.target_exemplars)
+            assert rounds == without_wall_times(fresh.rounds)
+
+    @pytest.mark.parametrize("n_outer_grid", [(1, 2), (2, 1)])
+    def test_every_combo_matches_a_fresh_adapt(self, tmp_path, monkeypatch, n_outer_grid):
+        seen = self.capture_adapts(monkeypatch)
+        run_task(self.grid_spec(tmp_path, n_outer_grid), seed=0)
+        assert [(c.lam2, c.n_outer) for _, _, c, *_ in seen] == [
+            (l2, n) for l2 in (0.01, 0.1) for n in n_outer_grid
+        ]
+        self.assert_match_fresh(seen)
+
+    def test_each_round_is_solved_once_per_trial(self, tmp_path, monkeypatch):
+        calls = []
+        cg_solve = hgmda.pipeline.cg_solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cg_solve(*args, **kwargs)
+
+        monkeypatch.setattr(hgmda.pipeline, "cg_solve", counting)
+        run_task(self.grid_spec(tmp_path, (1, 2)), seed=0)
+        # 2 lam2 values x max N_T = 2 rounds, not 2 x (1 + 2)
+        assert len(calls) == 4
+        assert hgmda.pipeline._RUN_SLOT.get() is None
+
+    # (2, 2): a repeated N_T is handed the same kept round twice
+    @pytest.mark.parametrize("n_outer_grid", [(1, 2), (2, 1), (2, 2)])
+    def test_mutating_a_result_leaves_later_combos_intact(
+        self, tmp_path, monkeypatch, n_outer_grid
+    ):
+        seen = self.capture_adapts(monkeypatch, mutate_previous=True)
+        run_task(self.grid_spec(tmp_path, n_outer_grid), seed=0)
+        self.assert_match_fresh(seen)
+
+
 class TestSpecValidation:
     def test_per_class_positive(self, tmp_path):
         paths = write_task_files(tmp_path)
@@ -151,7 +241,7 @@ class TestSpecValidation:
 
 
 class TestRunBenchmark:
-    def test_bad_task_is_isolated(self, tmp_path):
+    def test_bad_task_is_isolated(self, tmp_path, caplog):
         good = small_spec(write_task_files(tmp_path), trials=1)
         bad = small_spec(
             dict(
@@ -163,10 +253,19 @@ class TestRunBenchmark:
             name="broken",
             trials=1,
         )
-        rows = run_benchmark([bad, good], seed=0)
+        with caplog.at_level(logging.INFO, logger="hgmda.evaluation"):
+            rows = run_benchmark([bad, good], seed=0)
         assert rows[0][0] == "broken"
         assert isinstance(rows[0][1], str) and rows[0][1].startswith("error:")
+        assert "\n" not in rows[0][1]
         assert rows[1][1].mean >= 0.0
+        (failure,) = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert "broken" in failure.getMessage()
+        assert failure.exc_info is not None
+        assert "Traceback (most recent call last)" in caplog.text
+        assert "missing.csv" in caplog.text
+        assert any("toy: trial 1/1" in r.getMessage() for r in caplog.records
+                   if r.levelno == logging.INFO)
 
     def test_empty_benchmark_rejected(self):
         with pytest.raises(ValueError):
@@ -176,12 +275,21 @@ class TestRunBenchmark:
         good = small_spec(write_task_files(tmp_path), trials=1)
         rows = run_benchmark([good], seed=0)
         rows.append(("broken", "error: no such file"))
+        comma_error = (
+            "error: round 1: need at least 3 exemplars per domain, got 2 source / 9 target"
+        )
+        rows.append(("tiny", comma_error))
         csv_text, pretty = benchmark_table(rows)
         lines = csv_text.strip().split("\n")
         assert lines[0].startswith("task,na_mean,adapted_mean")
         assert lines[1].startswith("toy,")
         assert "error: no such file" in lines[2]
         assert "toy" in pretty and "broken" in pretty
+        parsed = list(csv.reader(lines))
+        assert [len(row) for row in parsed] == [9] * 4
+        assert parsed[3][0] == "tiny"
+        assert parsed[3][-1] == comma_error
+        assert dict(zip(parsed[0], parsed[1]))["best_lam2"] == "0.01"
 
 
 class TestLoadBenchmarkFile:

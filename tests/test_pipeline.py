@@ -1,9 +1,13 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from hgmda.data import LabeledDataset
 from hgmda.evaluation import accuracy, knn_predict
 from hgmda.pipeline import (
+    FEASIBILITY_TOL,
     AdaptationConfig,
     LinearMap,
     adapt,
@@ -138,6 +142,32 @@ class TestAdaptLoop:
             assert r["n_source_exemplars"] == src.n
             assert r["tensor_entries"] == 0
             assert len(r["solver"]["lp_row_residuals"]) == cfg.cg_iters
+
+    def test_default_budget_is_flagged_infeasible(self):
+        # 300 ADMM sweeps per LP leave this 40 x 40 matching about 7e-3 off
+        # its row sums, beyond criterion 3's bound
+        source, target = rotated_gaussian_task(n_per_class=20, seed=0)[:2]
+        with pytest.warns(RuntimeWarning, match="round 1") as caught:
+            res = adapt(source, target, AdaptationConfig())
+        assert len(caught) == 1
+        (record,) = res.rounds
+        assert record["feasible"] is False
+        assert max(record["row_residual"], record["col_residual"]) > FEASIBILITY_TOL
+        assert f"{record['row_residual']:.2e}" in str(caught[0].message)
+        assert record["row_residual"] == record["solver"]["row_residuals"][-1]
+        assert record["col_residual"] == record["solver"]["col_residuals"][-1]
+
+    def test_budget_meeting_the_bound_is_feasible_and_silent(self):
+        source, target = rotated_gaussian_task(n_per_class=20, seed=0)[:2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = adapt(source, target, AdaptationConfig(cg_iters=5, admm_iters=2000))
+        (record,) = res.rounds
+        assert record["feasible"] is True
+        assert max(record["row_residual"], record["col_residual"]) <= FEASIBILITY_TOL
+        assert record["source_ap_converged"] is True
+        assert record["target_ap_converged"] is True
+        json.dumps(res.rounds)
 
     def test_deterministic_given_config(self):
         src, Xt = blob_pair()
