@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import logging
 import os
 import sys
 
@@ -156,7 +157,20 @@ _COMMANDS = {
 }
 
 
+def _log_to_stderr():
+    """Shows the package's INFO lines, such as run_task's per-trial progress,
+    on stderr. Repeated in-process calls keep the handler the first one
+    attached rather than stacking another."""
+    logger = logging.getLogger("hgmda")
+    if not logger.handlers:
+        handler = logging.StreamHandler()
+        handler.setLevel(logging.INFO)
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+
+
 def main(argv=None):
+    _log_to_stderr()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

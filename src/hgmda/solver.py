@@ -4,15 +4,36 @@ linear programs.
 Each outer iteration linearizes the matching objective at the current C and
 asks for the polytope point minimizing Tr(G^T C). That LP is split into
 three blocks, one per constraint (row sums, column sums, non-negativity),
-coupled through a consensus variable Z; every block update is closed form.
+coupled through a consensus variable Z; every block update is closed form
+(the three-block consensus form of Boyd et al. 2011, Distributed
+Optimization and Statistical Learning via ADMM, section 7.1).
 The penalty is fixed at rho = 1; since scaling rho is equivalent to scaling
 G, the gradient is normalized internally to a fixed working magnitude
 instead, which keeps the sweep budget equally effective across gradient
 scales. The budget is a cap: every RESIDUAL_CHECK_EVERY sweeps the primal
 consensus residual max |Ci - Z| and the dual residual max |Z - Z_prev| are
 checked, and the run stops once both fall below RESIDUAL_TOL (the stopping
-rule of Boyd et al. 2011, Distributed Optimization and Statistical Learning
-via ADMM, section 3.3), measured in the normalized working units.
+rule of Boyd et al. 2011, section 3.3), measured in the normalized working
+units.
+
+The sweep runs on Z and the non-negativity dual Y3 alone. The three block
+residuals Ci - Z' sum to zero, so the duals keep Y1 + Y2 + Y3 = 0 from a
+start that has it (AdmmState.cold does). With W = Z - Gw/2 and the block
+multipliers r = (rowsum(W - Y1) - a)/nt and c = (colsum(W - Y2) - b)/ns,
+the blocks then sum to C1 + C2 + C3 = 2W + max(Z, Y3) - r (+) c, and one
+sweep reduces to
+
+    M   = max(Z, Y3)
+    Z'  = (2Z - Gw + M - r (+) c) / 3
+    Y3' = M - Z'
+    r'  = r + (2 rowsum(Z') - rowsum(Z) - a) / nt
+    c'  = c + (2 colsum(Z') - colsum(Z) - b) / ns
+
+where r (+) c is the outer sum r[:, None] + c[None, :]: eight elementwise
+passes and two axis sums over the matrix, where the three-block form makes
+twenty. The marginal duals follow from these, Y1' = W - r[:, None] - Z' and
+Y2' = W - c[None, :] - Z', and are rebuilt only at residual checks and on
+exit.
 
 The working magnitude trades value resolution against feasibility progress
 per sweep: the marginal residual after k sweeps grows with the magnitude
@@ -48,11 +69,17 @@ RESIDUAL_CHECK_EVERY = 25
 
 @dataclass
 class AdmmState:
-    """Consensus variable and duals of the LP splitting (the primal blocks
-    are recomputed from them each sweep).
+    """Consensus variable and duals of the LP splitting, as left by the last
+    sweep of an admm_lp call.
 
-    Because every call renormalizes G to the same working magnitude, carried
-    duals keep a consistent scale across warm starts.
+    The duals always satisfy Y1 + Y2 + Y3 = 0, which the reduced sweep
+    relies on: cold() starts there and every sweep keeps it. admm_lp carries
+    only Z and Y3 from sweep to sweep and rebuilds Y1 and Y2 on exit, so a
+    warm start sees the same duals the three-block sweep would have left.
+    primal_residual and dual_residual are the residuals of the last sweep
+    of the last call (max |Ci - Z| and max |Z - Z_prev|, in normalized
+    working units). Because every call renormalizes G to the same working
+    magnitude, carried duals keep a consistent scale across warm starts.
     """
 
     Z: np.ndarray
@@ -61,6 +88,8 @@ class AdmmState:
     Y3: np.ndarray
     rho: float = 1.0
     iterations: int = 0  # sweeps actually run, summed over warm starts
+    primal_residual: float = np.nan
+    dual_residual: float = np.nan
 
     @classmethod
     def cold(cls, a, b, Gw=None):
@@ -79,6 +108,12 @@ class AdmmState:
         return cls(Z=Z, Y1=Y1, Y2=Y2, Y3=Y3)
 
 
+def _marginal_duals(half, Z, r, c, Z_next):
+    """Y1 and Y2 after the sweep that took Z to Z_next with multipliers r, c."""
+    D = Z - half - Z_next
+    return D - r[:, None], D - c
+
+
 def admm_lp(G, a, b, iters=300, state=None, gradient_scale=None):
     """Approximately minimize Tr(G^T C) over
     {C >= 0, C 1 = a, C^T 1 = b} by three-block consensus ADMM.
@@ -88,9 +123,11 @@ def admm_lp(G, a, b, iters=300, state=None, gradient_scale=None):
     below RESIDUAL_TOL at a check made every RESIDUAL_CHECK_EVERY sweeps.
     Returns (C, state): C is the final consensus variable with small ADMM
     negatives clamped to zero, state can be passed back in to warm-start the
-    next call and counts the sweeps run in state.iterations. gradient_scale
-    overrides the standalone working magnitude; calls that share a state
-    must use the same value, or the carried duals land at the wrong scale.
+    next call, counts the sweeps run in state.iterations and holds the
+    residuals of the last sweep. gradient_scale overrides the standalone
+    working magnitude; calls that share a state must use the same value, or
+    the carried duals land at the wrong scale. Each sweep is the reduced
+    recursion on Z and Y3 described in the module docstring.
     """
     ns, nt = G.shape
     if len(a) != ns or len(b) != nt:
@@ -103,26 +140,42 @@ def admm_lp(G, a, b, iters=300, state=None, gradient_scale=None):
     Gw = G * (gradient_scale / scale) if scale > 0.0 else np.zeros_like(G)
     if state is None:
         state = AdmmState.cold(a, b, Gw)
-    Z, Y1, Y2, Y3 = state.Z, state.Y1, state.Y2, state.Y3
     half = Gw / 2.0
+    Z, Y1, Y2, Y3 = state.Z, state.Y1, state.Y2, state.Y3
+    r = ((Z - half - Y1).sum(axis=1) - a) / nt
+    c = ((Z - half - Y2).sum(axis=0) - b) / ns
+    rows, cols = Z.sum(axis=1), Z.sum(axis=0)
+    # Z' rotates through three buffers because a residual check needs the
+    # Z two sweeps back to rebuild the duals that entered the sweep
+    z_bufs = [np.empty_like(Z) for _ in range(3)]
+    y_bufs = [np.empty_like(Z) for _ in range(2)]
+    entering = None  # (Z, r, c) the previous sweep started from
     for sweeps in range(1, iters + 1):
-        Z_prev = Z
-        W = Z - half
-        V1 = W - Y1
-        C1 = V1 - ((V1.sum(axis=1) - a) / nt)[:, None]
-        V2 = W - Y2
-        C2 = V2 - ((V2.sum(axis=0) - b) / ns)[None, :]
-        C3 = np.maximum(Z - Y3, 0.0)
-        Z = (C1 + C2 + C3) / 3.0
-        R1, R2, R3 = C1 - Z, C2 - Z, C3 - Z
-        Y1 += R1
-        Y2 += R2
-        Y3 += R3
-        if sweeps % RESIDUAL_CHECK_EVERY == 0:
-            primal = max(np.abs(R1).max(), np.abs(R2).max(), np.abs(R3).max())
-            if primal < RESIDUAL_TOL and np.abs(Z - Z_prev).max() < RESIDUAL_TOL:
+        Z_next, Y3_next = z_bufs[sweeps % 3], y_bufs[sweeps % 2]
+        np.maximum(Z, Y3, out=Y3_next)  # M until the last line of the sweep
+        np.multiply(Z, 2.0, out=Z_next)
+        Z_next -= Gw
+        Z_next += Y3_next
+        Z_next -= r[:, None]
+        Z_next -= c
+        Z_next /= 3.0
+        Y3_next -= Z_next
+        if sweeps % RESIDUAL_CHECK_EVERY == 0 or sweeps == iters:
+            Y1_in, Y2_in = (Y1, Y2) if entering is None else _marginal_duals(half, *entering, Z)
+            Y1, Y2 = _marginal_duals(half, Z, r, c, Z_next)
+            primal = max(np.abs(Y1 - Y1_in).max(), np.abs(Y2 - Y2_in).max(),
+                         np.abs(Y3_next - Y3).max())
+            dual = np.abs(Z_next - Z).max()
+            if sweeps == iters or (primal < RESIDUAL_TOL and dual < RESIDUAL_TOL):
+                Z, Y3 = Z_next, Y3_next
                 break
+        entering = (Z, r, c)
+        rows_next, cols_next = Z_next.sum(axis=1), Z_next.sum(axis=0)
+        r = r + (2.0 * rows_next - rows - a) / nt
+        c = c + (2.0 * cols_next - cols - b) / ns
+        Z, Y3, rows, cols = Z_next, Y3_next, rows_next, cols_next
     state.Z, state.Y1, state.Y2, state.Y3 = Z, Y1, Y2, Y3
+    state.primal_residual, state.dual_residual = float(primal), float(dual)
     state.iterations += sweeps
     return np.maximum(Z, 0.0), state
 
@@ -142,7 +195,9 @@ class CgDiagnostics:
     closure (iterate residual never exceeds the worst LP residual seen) can
     be checked from the record alone. lp_sweeps holds the ADMM sweeps each LP
     call ran, the final gap LP included, which shows whether the residual
-    stop cut the budget short.
+    stop cut the budget short; lp_primal_residuals and lp_dual_residuals
+    hold the residuals of each call's last sweep in the same order, in the
+    normalized working units the stop is tested in.
     """
 
     objective_trace: list = field(default_factory=list)
@@ -154,6 +209,8 @@ class CgDiagnostics:
     lp_col_residuals: list = field(default_factory=list)
     lp_min_entries: list = field(default_factory=list)
     lp_sweeps: list = field(default_factory=list)
+    lp_primal_residuals: list = field(default_factory=list)
+    lp_dual_residuals: list = field(default_factory=list)
     final_gap: float = np.nan
     wall_time: float = 0.0
 
@@ -181,6 +238,8 @@ class CgDiagnostics:
             "lp_col_residuals": list(self.lp_col_residuals),
             "lp_min_entries": list(self.lp_min_entries),
             "lp_sweeps": list(self.lp_sweeps),
+            "lp_primal_residuals": list(self.lp_primal_residuals),
+            "lp_dual_residuals": list(self.lp_dual_residuals),
             "final_gap": self.final_gap,
             "wall_time": self.wall_time,
         }
@@ -208,6 +267,8 @@ def cg_solve(ctx, weights, C0=None, cg_iters=20, admm_iters=300, warm_start=True
                              state=state if warm_start else None,
                              gradient_scale=CG_GRADIENT_SCALE)
         diag.lp_sweeps.append(state.iterations - before)
+        diag.lp_primal_residuals.append(state.primal_residual)
+        diag.lp_dual_residuals.append(state.dual_residual)
         return C_d
 
     start = time.perf_counter()

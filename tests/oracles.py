@@ -2,12 +2,17 @@
 
 Everything here is written independently of the package internals and favors
 brute force over speed: exhaustive enumeration, dense tensors, generic
-projection methods. Tests compare package output against these.
+projection methods. Tests compare package output against these. The one
+exception is reference_admm_lp, the package's earlier three-block ADMM sweep,
+which shares the package's state container and stopping constants so that
+the two can be compared call for call, warm starts included.
 """
 
 import itertools
 
 import numpy as np
+
+from hgmda.solver import GRADIENT_SCALE, RESIDUAL_CHECK_EVERY, RESIDUAL_TOL, AdmmState
 
 
 def central_difference_grad(fn, C, step=1e-5):
@@ -128,3 +133,56 @@ def projected_gradient(grad_fn, C0, a, b, steps=10000, lr=0.05):
     for _ in range(steps):
         C = dykstra_project(C - lr * grad_fn(C), a, b, sweeps=60)
     return C
+
+
+def reference_admm_lp(G, a, b, iters=300, state=None, gradient_scale=None):
+    """Three-block consensus ADMM exactly as the package ran it before its
+    sweep was reduced to a recursion on Z and Y3: every sweep forms the
+    three blocks C1, C2, C3 and updates all three duals. The reduced sweep in
+    hgmda.solver.admm_lp must reproduce this to rounding.
+
+    Approximately minimize Tr(G^T C) over
+    {C >= 0, C 1 = a, C^T 1 = b} by three-block consensus ADMM.
+
+    Runs at most iters (>= 1) sweeps, stopping early once the primal
+    residual max |Ci - Z| and the dual residual max |Z - Z_prev| are both
+    below RESIDUAL_TOL at a check made every RESIDUAL_CHECK_EVERY sweeps.
+    Returns (C, state): C is the final consensus variable with small ADMM
+    negatives clamped to zero, state can be passed back in to warm-start the
+    next call and counts the sweeps run in state.iterations. gradient_scale
+    overrides the standalone working magnitude; calls that share a state
+    must use the same value, or the carried duals land at the wrong scale.
+    """
+    ns, nt = G.shape
+    if len(a) != ns or len(b) != nt:
+        raise ValueError("marginal lengths do not match the gradient shape")
+    if iters < 1:
+        raise ValueError("admm_lp needs at least 1 sweep")
+    if gradient_scale is None:
+        gradient_scale = GRADIENT_SCALE
+    scale = np.abs(G).max()
+    Gw = G * (gradient_scale / scale) if scale > 0.0 else np.zeros_like(G)
+    if state is None:
+        state = AdmmState.cold(a, b, Gw)
+    Z, Y1, Y2, Y3 = state.Z, state.Y1, state.Y2, state.Y3
+    half = Gw / 2.0
+    for sweeps in range(1, iters + 1):
+        Z_prev = Z
+        W = Z - half
+        V1 = W - Y1
+        C1 = V1 - ((V1.sum(axis=1) - a) / nt)[:, None]
+        V2 = W - Y2
+        C2 = V2 - ((V2.sum(axis=0) - b) / ns)[None, :]
+        C3 = np.maximum(Z - Y3, 0.0)
+        Z = (C1 + C2 + C3) / 3.0
+        R1, R2, R3 = C1 - Z, C2 - Z, C3 - Z
+        Y1 += R1
+        Y2 += R2
+        Y3 += R3
+        if sweeps % RESIDUAL_CHECK_EVERY == 0:
+            primal = max(np.abs(R1).max(), np.abs(R2).max(), np.abs(R3).max())
+            if primal < RESIDUAL_TOL and np.abs(Z - Z_prev).max() < RESIDUAL_TOL:
+                break
+    state.Z, state.Y1, state.Y2, state.Y3 = Z, Y1, Y2, Y3
+    state.iterations += sweeps
+    return np.maximum(Z, 0.0), state

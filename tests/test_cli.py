@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,17 @@ from hgmda.data import load_features, write_features
 from hgmda.synthetic import rotated_gaussian_task
 
 from oracles import permutation_minimum as oracle_perm_min
+
+
+@pytest.fixture(autouse=True)
+def package_logger():
+    """main() attaches a stderr handler bound to the stream of the test that
+    calls it first; drop it afterwards so each test sees its own capture."""
+    logger = logging.getLogger("hgmda")
+    handlers, level = list(logger.handlers), logger.level
+    yield logger
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
 
 
 @pytest.fixture
@@ -122,6 +135,25 @@ class TestBenchmarkCommand:
         assert lines[0].startswith("task,")
         assert lines[1].startswith("toy,")
         assert "toy" in capsys.readouterr().out
+
+    def test_logs_each_trial_once_per_run(self, task_files, tmp_path, capsys, package_logger):
+        # the benchmark harness calls main() repeatedly in one process; each
+        # call must print one progress line per trial, not one per handler
+        doc = {
+            "seed": 0,
+            "trials": 2,
+            "per_class": 5,
+            "config": {"cg_iters": 2, "admm_iters": 50},
+            "tasks": [dict(name="toy", **task_files)],
+        }
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps(doc))
+        for _ in range(2):
+            code = main(["benchmark", "--spec", str(spec_path), "--out", str(tmp_path / "r.csv")])
+            assert code == 0
+            err = capsys.readouterr().err
+            assert re.findall(r"toy: trial (\d+)/2 done", err) == ["1", "2"]
+        assert len(package_logger.handlers) == 1
 
     def test_missing_spec_is_exit_one(self, tmp_path, capsys):
         code = main(["benchmark", "--spec", str(tmp_path / "absent.json")])

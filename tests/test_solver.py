@@ -12,6 +12,7 @@ from hgmda.objective import (
 )
 from hgmda.solver import (
     CG_GRADIENT_SCALE,
+    GRADIENT_SCALE,
     RESIDUAL_CHECK_EVERY,
     AdmmState,
     admm_lp,
@@ -20,7 +21,7 @@ from hgmda.solver import (
 )
 
 from oracles import permutation_minimum as oracle_perm_min
-from oracles import projected_gradient
+from oracles import projected_gradient, reference_admm_lp
 
 
 def convex_context(rng, ns=None, nt=None, d=None):
@@ -108,6 +109,48 @@ class TestAdmmLp:
         assert np.abs(C.sum(axis=1) - a).max() <= 1e-3
         assert np.abs(C.sum(axis=0) - b).max() <= 1e-3
         assert C.min() >= -1e-4
+
+    @pytest.mark.parametrize("gradient_scale", [GRADIENT_SCALE, CG_GRADIENT_SCALE])
+    @pytest.mark.parametrize("shape, stops", [
+        ((4, 4), True), ((6, 3), True), ((20, 60), False), ((40, 100), False),
+    ])
+    def test_matches_three_block_reference(self, shape, stops, gradient_scale):
+        # a cold call, then a warm call on a perturbed gradient, against the
+        # three-block sweep; the small instances meet the residual stop
+        # within the cap, so both stop tests must fire at the same sweep
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        G = rng.normal(size=shape)
+        a, b = marginals(*shape)
+        state = ref_state = None
+        for grad in (G, G + 0.05 * rng.normal(size=shape)):
+            C, state = admm_lp(grad, a, b, iters=1000, state=state,
+                               gradient_scale=gradient_scale)
+            C_ref, ref_state = reference_admm_lp(grad, a, b, iters=1000, state=ref_state,
+                                                 gradient_scale=gradient_scale)
+            assert np.abs(C - C_ref).max() <= 1e-9
+            assert state.iterations == ref_state.iterations
+            assert np.abs(state.Y1 + state.Y2 + state.Y3).max() <= 1e-12
+        assert (state.iterations < 2000) == stops
+
+    @pytest.mark.parametrize("iters", [1, 7, RESIDUAL_CHECK_EVERY])
+    def test_residuals_of_last_sweep(self, iters):
+        # the recorded residuals are those of the three-block sweep's last
+        # step, whether or not that step is a residual check
+        rng = np.random.default_rng(5)
+        G = rng.normal(size=(5, 8))
+        a, b = marginals(5, 8)
+        _, state = admm_lp(G, a, b, iters=iters)
+        if iters > 1:
+            _, ref_state = reference_admm_lp(G, a, b, iters=iters - 1)
+        else:
+            ref_state = AdmmState.cold(a, b, G * (GRADIENT_SCALE / np.abs(G).max()))
+        before = [M.copy() for M in (ref_state.Z, ref_state.Y1, ref_state.Y2, ref_state.Y3)]
+        _, ref_state = reference_admm_lp(G, a, b, iters=1, state=ref_state)
+        after = (ref_state.Z, ref_state.Y1, ref_state.Y2, ref_state.Y3)
+        primal = max(np.abs(y - y0).max() for y, y0 in zip(after[1:], before[1:]))
+        dual = np.abs(after[0] - before[0]).max()
+        assert state.primal_residual == pytest.approx(primal, abs=1e-12)
+        assert state.dual_residual == pytest.approx(dual, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="marginal"):
@@ -249,13 +292,16 @@ class TestCgSolve:
         assert len(diag.row_residuals) == 5
         assert len(diag.lp_row_residuals) == 4
         assert len(diag.lp_sweeps) == 5
+        assert len(diag.lp_primal_residuals) == 5
+        assert len(diag.lp_dual_residuals) == 5
         assert diag.final_gap == diag.gap_trace[-1]
         assert diag.wall_time > 0.0
         d = diag.as_dict()
         assert set(d) == {
             "objective_trace", "gap_trace", "row_residuals", "col_residuals",
             "min_entries", "lp_row_residuals", "lp_col_residuals",
-            "lp_min_entries", "lp_sweeps", "final_gap", "wall_time",
+            "lp_min_entries", "lp_sweeps", "lp_primal_residuals",
+            "lp_dual_residuals", "final_gap", "wall_time",
         }
 
     def test_rejects_bad_iteration_counts(self):
