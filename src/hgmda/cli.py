@@ -47,7 +47,8 @@ def _build_parser():
     p_adapt.add_argument("--lambdag", type=float, default=0.01)
     p_adapt.add_argument("--nt-outer", type=int, default=1)
     p_adapt.add_argument("--cg-iters", type=int, default=20)
-    p_adapt.add_argument("--admm-iters", type=int, default=300)
+    p_adapt.add_argument("--admm-iters", type=int, default=300,
+                         help="iteration cap of each Frank-Wolfe oracle call")
     p_adapt.add_argument("--seed", type=int, default=0)
     p_adapt.add_argument("--out", required=True, help="output directory")
 

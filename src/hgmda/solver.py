@@ -1,8 +1,40 @@
-"""Conditional-gradient (Frank-Wolfe) outer loop with consensus-ADMM inner
-linear programs.
+"""Conditional-gradient (Frank-Wolfe) outer loop with an entropic linear
+minimization oracle, and the paper's consensus-ADMM linear program.
 
-Each outer iteration linearizes the matching objective at the current C and
-asks for the polytope point minimizing Tr(G^T C). That LP is split into
+Each outer iteration t linearizes the matching objective at the current C
+and asks for the polytope point minimizing Tr(G^T C). cg_solve answers with
+an entropic transport plan (Cuturi 2013, Sinkhorn Distances) at temperature
+
+    eps_t = LMO_EPS_FACTOR * gamma_t * max|G| / log(ns nt),
+
+where gamma_t = 2/(t+2) is the step the plan enters with, so the oracle's
+error shrinks with the step as an approximate-oracle Frank-Wolfe needs
+(Jaggi 2013, Revisiting Frank-Wolfe, Thm 1). Sinkhorn runs as kernel
+scaling with absorption into log potentials (Schmitzer 2019, Stabilized
+sparse scaling algorithms): P = diag(u) K diag(v) with
+K = exp((f (+) g - G)/eps), and each (re)start sets f and then g by one
+exact log-domain row and column update, so no kernel row or column
+underflows. The scalings are folded into f and g, and the kernel rebuilt,
+whenever they leave [1/SCALING_BOUND, SCALING_BOUND]. The column potential
+g carries over from one outer iteration to the next. A call stops once the
+L1 row-marginal error is at most LMO_TOL_FACTOR * gamma_t * ns, tested
+every LMO_CHECK_EVERY iterations, or at its iteration cap. The plan is then
+rounded exactly onto the polytope by Algorithm 2 of Altschuler, Weed &
+Rigollet 2017 (Near-linear time approximation algorithms for optimal
+transport via Sinkhorn iteration): scale down the rows, then the columns,
+that exceed their marginal, and add the rank-one outer product of the
+remaining deficits. Every oracle output is therefore feasible to rounding,
+however few iterations ran, and so is every iterate.
+
+The gap each iteration records is certified by LP duality. The c-transforms
+of the row potential f, v_j = min_i (G_ij - f_i) and then
+u_i = min_j (G_ij - v_j), give a dual-feasible pair, so by weak duality
+a.u + b.v bounds the LP minimum from below and <G, C> - (a.u + b.v) bounds
+the exact Frank-Wolfe gap at C from above. The final gap call uses
+gamma_{T+1}.
+
+admm_lp is the paper's LP routine, used standalone (lp-check, the LP
+acceptance criterion); cg_solve does not call it. It splits the LP into
 three blocks, one per constraint (row sums, column sums, non-negativity),
 coupled through a consensus variable Z; every block update is closed form
 (the three-block consensus form of Boyd et al. 2011, Distributed
@@ -38,12 +70,7 @@ exit.
 The working magnitude trades value resolution against feasibility progress
 per sweep: the marginal residual after k sweeps grows with the magnitude
 while the value error shrinks with it. A standalone call has to resolve the
-LP vertex within its own budget, so it defaults to a strong tilt. Inside the
-outer loop the LP only has to supply a descent direction (value errors are
-amortized by the 2/(t+2) averaging, a standard property of Frank-Wolfe with
-approximate oracles) while any feasibility error propagates to every iterate
-through the convex combination, so cg_solve runs its subproblems at a gentle
-tilt.
+LP vertex within its own budget, so it defaults to a strong tilt.
 """
 
 from __future__ import annotations
@@ -55,16 +82,27 @@ import numpy as np
 
 from .objective import marginals, total_objective, uniform_matching
 
-# max-abs gradient magnitudes the LP is solved at (see module docstring);
-# standalone solves are value-limited and rectangular in-loop solves are
-# feasibility-limited, and no single magnitude serves both
+# default max-abs gradient magnitude admm_lp solves at (see module docstring)
 GRADIENT_SCALE = 8.0
-CG_GRADIENT_SCALE = 1.0
 
 # absolute primal/dual residual bound that ends an ADMM run early, checked
 # every RESIDUAL_CHECK_EVERY sweeps (see module docstring)
 RESIDUAL_TOL = 1e-6
 RESIDUAL_CHECK_EVERY = 25
+
+# schedule of the Frank-Wolfe oracle (see module docstring): temperature and
+# stopping tolerance per unit of the step gamma_t, how often the stop is
+# tested, and the range the Sinkhorn scalings may reach before absorption
+LMO_EPS_FACTOR = 0.1
+LMO_TOL_FACTOR = 0.01
+LMO_CHECK_EVERY = 10
+SCALING_BOUND = 1e50
+# exponents are floored here before exp: exp(-460) ~ 1e-200 keeps every
+# kernel entry positive, so no scaling divides by zero, and keeps it and its
+# products with scalings inside the bounds above clear of subnormal floats,
+# whose arithmetic is up to 100x slower; such an entry adds at most 1e-100
+# to the plan
+LOG_FLOOR = -460.0
 
 
 @dataclass
@@ -186,18 +224,109 @@ def fw_gap(G, C, C_d):
     return float(np.vdot(G, C - C_d))
 
 
+def _floored_exp(X):
+    """exp(X) in place, with X floored at LOG_FLOOR first."""
+    np.maximum(X, LOG_FLOOR, out=X)
+    return np.exp(X, out=X)
+
+
+def _log_potentials(G, g, a, b, eps):
+    """One exact log-domain row update of f against g, then a column update
+    of g against the new f. Returns f, g and their kernel
+    exp((f (+) g - G)/eps), whose column sums are b and whose row sums are
+    those of a single Sinkhorn step."""
+    R = (g - G) / eps
+    m = R.max(axis=1, keepdims=True)
+    R -= m
+    f = eps * (np.log(a) - m[:, 0] - np.log(_floored_exp(R).sum(axis=1)))
+    R = (f[:, None] - G) / eps
+    m = R.max(axis=0, keepdims=True)
+    R -= m
+    g = eps * (np.log(b) - m[0] - np.log(_floored_exp(R).sum(axis=0)))
+    R = (f[:, None] + g - G) / eps
+    return f, g, _floored_exp(R)
+
+
+def _round_to_polytope(P, a, b):
+    """Algorithm 2 of Altschuler, Weed & Rigollet 2017: scale down the rows
+    and then the columns above their marginal, and add the outer product of
+    the remaining deficits. The deficits are clamped at zero, which they
+    are up to rounding, so the result stays non-negative."""
+    P = P * np.minimum(a / P.sum(axis=1), 1.0)[:, None]
+    P *= np.minimum(b / P.sum(axis=0), 1.0)
+    err_a = np.maximum(a - P.sum(axis=1), 0.0)
+    err_b = np.maximum(b - P.sum(axis=0), 0.0)
+    mass = err_b.sum()
+    if mass > 0.0:
+        P += np.outer(err_a, err_b / mass)
+    return P
+
+
+def _c_transform_bound(G, f, a, b):
+    """a.u + b.v for the dual-feasible pair v = min_i (G - f), then
+    u = min_j (G - v): a lower bound on the LP minimum by weak duality."""
+    v = (G - f[:, None]).min(axis=0)
+    u = (G - v).min(axis=1)
+    return float(a @ u + b @ v)
+
+
+def _sinkhorn_lmo(G, a, b, gamma, g=None, max_iters=300):
+    """Entropic oracle for min Tr(G^T C) over {C >= 0, C 1 = a, C^T 1 = b}
+    at the step gamma, warm-started from the column potential g (zeros when
+    None), for at most max_iters (>= 1) Sinkhorn iterations.
+
+    Returns (C_d, g, bound, iterations, marginal_error): C_d is the plan
+    rounded onto the polytope, g the column potential to warm-start the next
+    call, bound the certified lower bound on the LP minimum, and
+    marginal_error the L1 row plus column error of the plan before rounding.
+    """
+    ns, nt = G.shape
+    if g is None:
+        g = np.zeros(nt)
+    scale = np.abs(G).max()
+    if scale == 0.0:
+        return np.outer(a, b) / b.sum(), g, 0.0, 0, 0.0
+    eps = LMO_EPS_FACTOR * gamma * scale / np.log(max(ns * nt, 2))
+    tol = LMO_TOL_FACTOR * gamma * ns
+    low, high = 1.0 / SCALING_BOUND, SCALING_BOUND
+    f, g, K = _log_potentials(G, g, a, b, eps)
+    u, v = np.ones(ns), np.ones(nt)
+    Kv = K.sum(axis=1)
+    iterations = 0
+    while iterations < max_iters:
+        iterations += 1
+        u_next = a / Kv
+        v_next = b / (u_next @ K)
+        if not (low <= u_next.min() and u_next.max() <= high
+                and low <= v_next.min() and v_next.max() <= high):
+            # fold the last accepted column scaling into g and restart from
+            # exact updates, which recompute f (and so absorb u) from g
+            f, g, K = _log_potentials(G, g + eps * np.log(v), a, b, eps)
+            u, v = np.ones(ns), np.ones(nt)
+            Kv = K.sum(axis=1)
+            continue
+        u, v = u_next, v_next
+        Kv = K @ v
+        if iterations % LMO_CHECK_EVERY == 0 and np.abs(u * Kv - a).sum() <= tol:
+            break
+    P = u[:, None] * K * v
+    marginal_error = float(np.abs(P.sum(axis=1) - a).sum() + np.abs(P.sum(axis=0) - b).sum())
+    bound = _c_transform_bound(G, f + eps * np.log(u), a, b)
+    return _round_to_polytope(P, a, b), g + eps * np.log(v), bound, iterations, marginal_error
+
+
 @dataclass
 class CgDiagnostics:
     """Per-iteration record of a conditional-gradient run.
 
     row/col/min entries track the CG iterates; the lp_* residual lists track
-    the raw LP outputs those iterates average, so the convex-combination
-    closure (iterate residual never exceeds the worst LP residual seen) can
-    be checked from the record alone. lp_sweeps holds the ADMM sweeps each LP
-    call ran, the final gap LP included, which shows whether the residual
-    stop cut the budget short; lp_primal_residuals and lp_dual_residuals
-    hold the residuals of each call's last sweep in the same order, in the
-    normalized working units the stop is tested in.
+    the oracle outputs those iterates average, so the convex-combination
+    closure (iterate residual never exceeds the worst oracle residual seen)
+    can be checked from the record alone. gap_trace holds the certified
+    Frank-Wolfe gap of each iteration, final_gap that at the returned C.
+    lp_iterations holds the Sinkhorn iterations each oracle call ran and
+    lp_marginal_errors the L1 marginal error of its plan before rounding,
+    the final gap call included in both.
     """
 
     objective_trace: list = field(default_factory=list)
@@ -208,9 +337,8 @@ class CgDiagnostics:
     lp_row_residuals: list = field(default_factory=list)
     lp_col_residuals: list = field(default_factory=list)
     lp_min_entries: list = field(default_factory=list)
-    lp_sweeps: list = field(default_factory=list)
-    lp_primal_residuals: list = field(default_factory=list)
-    lp_dual_residuals: list = field(default_factory=list)
+    lp_iterations: list = field(default_factory=list)
+    lp_marginal_errors: list = field(default_factory=list)
     final_gap: float = np.nan
     wall_time: float = 0.0
 
@@ -237,9 +365,8 @@ class CgDiagnostics:
             "lp_row_residuals": list(self.lp_row_residuals),
             "lp_col_residuals": list(self.lp_col_residuals),
             "lp_min_entries": list(self.lp_min_entries),
-            "lp_sweeps": list(self.lp_sweeps),
-            "lp_primal_residuals": list(self.lp_primal_residuals),
-            "lp_dual_residuals": list(self.lp_dual_residuals),
+            "lp_iterations": list(self.lp_iterations),
+            "lp_marginal_errors": list(self.lp_marginal_errors),
             "final_gap": self.final_gap,
             "wall_time": self.wall_time,
         }
@@ -249,8 +376,10 @@ def cg_solve(ctx, weights, C0=None, cg_iters=20, admm_iters=300, warm_start=True
     """Frank-Wolfe with step 2/(t+2) over the matching polytope.
 
     Returns (C, CgDiagnostics). C0 defaults to the uniform feasible point.
-    warm_start reuses the ADMM state across outer iterations (successive
-    gradients are close, so the duals remain good guesses).
+    Each oracle call runs at most admm_iters Sinkhorn iterations (the name
+    predates the Sinkhorn oracle). warm_start starts each call from the
+    previous call's column potential (successive gradients are close, so
+    the potential remains a good guess).
     """
     if cg_iters < 1 or admm_iters < 1:
         raise ValueError("iteration counts must be >= 1")
@@ -258,35 +387,35 @@ def cg_solve(ctx, weights, C0=None, cg_iters=20, admm_iters=300, warm_start=True
     C = uniform_matching(ctx.ns, ctx.nt) if C0 is None else np.array(C0, dtype=float)
     diag = CgDiagnostics()
     diag.record_feasibility(C, a, b)
-    state = None
+    g = None
 
-    def solve_lp(G):
-        nonlocal state
-        before = state.iterations if warm_start and state is not None else 0
-        C_d, state = admm_lp(G, a, b, iters=admm_iters,
-                             state=state if warm_start else None,
-                             gradient_scale=CG_GRADIENT_SCALE)
-        diag.lp_sweeps.append(state.iterations - before)
-        diag.lp_primal_residuals.append(state.primal_residual)
-        diag.lp_dual_residuals.append(state.dual_residual)
-        return C_d
+    def certified_gap(G, t_i):
+        """Runs the oracle at step 2/(t_i+2); returns its plan and the
+        certified gap at C."""
+        nonlocal g
+        C_d, g_next, bound, iterations, error = _sinkhorn_lmo(
+            G, a, b, 2.0 / (t_i + 2.0), g, admm_iters)
+        if warm_start:
+            g = g_next
+        diag.lp_iterations.append(iterations)
+        diag.lp_marginal_errors.append(error)
+        return C_d, float(np.vdot(G, C)) - bound
 
     start = time.perf_counter()
     for t_i in range(1, cg_iters + 1):
         value, G = total_objective(C, ctx, weights)
         if not np.isfinite(value):
             raise FloatingPointError("objective became non-finite")
-        C_d = solve_lp(G)
+        C_d, gap = certified_gap(G, t_i)
         diag.objective_trace.append(value)
-        diag.gap_trace.append(fw_gap(G, C, C_d))
+        diag.gap_trace.append(gap)
         diag.record_feasibility(C_d, a, b, lp=True)
         alpha = 2.0 / (t_i + 2.0)
         C = C + alpha * (C_d - C)
         diag.record_feasibility(C, a, b)
     value, G = total_objective(C, ctx, weights)
-    C_d = solve_lp(G)
+    _, diag.final_gap = certified_gap(G, cg_iters + 1)
     diag.objective_trace.append(value)
-    diag.final_gap = fw_gap(G, C, C_d)
     diag.gap_trace.append(diag.final_gap)
     diag.wall_time = time.perf_counter() - start
     return C, diag

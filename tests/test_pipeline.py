@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from hgmda import pipeline
 from hgmda.data import LabeledDataset
 from hgmda.evaluation import accuracy, knn_predict
+from hgmda.objective import marginals
 from hgmda.pipeline import (
     FEASIBILITY_TOL,
     AdaptationConfig,
@@ -143,12 +145,32 @@ class TestAdaptLoop:
             assert r["tensor_entries"] == 0
             assert len(r["solver"]["lp_row_residuals"]) == cfg.cg_iters
 
-    def test_default_budget_is_flagged_infeasible(self):
-        # 300 ADMM sweeps per LP leave this 40 x 40 matching about 7e-3 off
-        # its row sums, beyond criterion 3's bound
+    def test_default_config_is_feasible_and_silent(self):
+        source, target = rotated_gaussian_task(n_per_class=20, seed=0)[:2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = adapt(source, target, AdaptationConfig())
+        (record,) = res.rounds
+        assert record["feasible"] is True
+        assert max(record["row_residual"], record["col_residual"]) <= 1e-12
+        assert record["row_residual"] == record["solver"]["row_residuals"][-1]
+        assert record["col_residual"] == record["solver"]["col_residuals"][-1]
+
+    def test_infeasible_matching_is_flagged_once(self, monkeypatch):
+        # the solver's output is always feasible, so the warning path is
+        # driven by a solver that returns a matching 1 % off its row sums
+        solve = pipeline.cg_solve
+
+        def off_polytope(ctx, weights, **kwargs):
+            C, diag = solve(ctx, weights, **kwargs)
+            C = C * 1.01
+            diag.record_feasibility(C, *marginals(ctx.ns, ctx.nt))
+            return C, diag
+
+        monkeypatch.setattr(pipeline, "cg_solve", off_polytope)
         source, target = rotated_gaussian_task(n_per_class=20, seed=0)[:2]
         with pytest.warns(RuntimeWarning, match="round 1") as caught:
-            res = adapt(source, target, AdaptationConfig())
+            res = adapt(source, target, AdaptationConfig(cg_iters=5))
         assert len(caught) == 1
         (record,) = res.rounds
         assert record["feasible"] is False
@@ -156,6 +178,17 @@ class TestAdaptLoop:
         assert f"{record['row_residual']:.2e}" in str(caught[0].message)
         assert record["row_residual"] == record["solver"]["row_residuals"][-1]
         assert record["col_residual"] == record["solver"]["col_residuals"][-1]
+
+    def test_target_permutation_permutes_matching_columns(self):
+        # at eta = 1 every target row is an exemplar, in row order, and no
+        # term but the random tensor (off at lam3 = 0) sees the row order
+        source, target = rotated_gaussian_task(n_per_class=20, seed=0)[:2]
+        perm = np.random.default_rng(1).permutation(len(target))
+        cfg = AdaptationConfig(eta=1.0, lam3=0.0)
+        base = adapt(source, target, cfg)
+        moved = adapt(source, target[perm], cfg)
+        assert np.abs(moved.matching - base.matching[:, perm]).max() <= 1e-9
+        assert np.abs(moved.adapted - base.adapted).max() <= 1e-9
 
     def test_budget_meeting_the_bound_is_feasible_and_silent(self):
         source, target = rotated_gaussian_task(n_per_class=20, seed=0)[:2]
