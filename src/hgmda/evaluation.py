@@ -151,7 +151,9 @@ def run_task(spec: ExperimentSpec, seed=0):
         na[trial] = accuracy(knn_predict(sampled, Xa), ya)
         na_held[trial] = accuracy(knn_predict(sampled, Xh), yh)
 
-        # combos that differ only in n_outer share their leading rounds
+        # every combo of the trial shares the lambda-independent inputs
+        # (target exemplars, round-1 source exemplars and tensor); combos
+        # that differ only in n_outer also share their leading rounds
         with _reuse_rounds():
             for ci, (lam2, lam3, n_outer) in enumerate(combos):
                 cfg = replace(

@@ -36,12 +36,18 @@ class APConfig:
 
 @dataclass(frozen=True)
 class ExemplarSet:
-    """Indices of the selected rows plus copies of their features/labels."""
+    """Indices of the selected rows plus copies of their features/labels.
+
+    preference is the AP preference that chose them and ap_runs the number
+    of AP runs the bisection made; eta = 1 runs none (preference None).
+    """
 
     indices: np.ndarray
     features: np.ndarray
     labels: Optional[np.ndarray]
     converged: bool
+    preference: Optional[float] = None
+    ap_runs: int = 0
 
     @property
     def count(self):
@@ -114,13 +120,15 @@ def affinity_propagation(S, cfg=APConfig()):
     return exemplars, converged
 
 
-def _make_set(X, labels, indices, converged):
+def _make_set(X, labels, indices, converged, preference, ap_runs):
     indices = np.sort(np.asarray(indices, dtype=int))
     return ExemplarSet(
         indices=indices,
         features=X[indices].copy(),
         labels=None if labels is None else np.asarray(labels)[indices].copy(),
         converged=converged,
+        preference=preference,
+        ap_runs=ap_runs,
     )
 
 
@@ -137,7 +145,7 @@ def select_exemplars(X, eta, cfg=APConfig(), labels=None):
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     if eta == 1.0:
-        return _make_set(X, labels, np.arange(n), True)
+        return _make_set(X, labels, np.arange(n), True, None, 0)
 
     target = int(round(eta * n))
     target = max(target, 1)
@@ -158,7 +166,7 @@ def select_exemplars(X, eta, cfg=APConfig(), labels=None):
         ex, conv = run(p)
         evaluated.append((abs(len(ex) - target), p, ex, conv))
         if abs(len(ex) - target) <= tol:
-            return _make_set(X, labels, ex, conv)
+            return _make_set(X, labels, ex, conv, float(p), len(evaluated))
 
     lo, hi = p_lo, p_hi
     for _ in range(cfg.bisect_steps):
@@ -166,12 +174,11 @@ def select_exemplars(X, eta, cfg=APConfig(), labels=None):
         ex, conv = run(mid)
         evaluated.append((abs(len(ex) - target), mid, ex, conv))
         if abs(len(ex) - target) <= tol:
-            return _make_set(X, labels, ex, conv)
+            return _make_set(X, labels, ex, conv, float(mid), len(evaluated))
         if len(ex) > target:
             hi = mid
         else:
             lo = mid
 
-    evaluated.sort(key=lambda item: item[0])
-    _, _, ex, conv = evaluated[0]
-    return _make_set(X, labels, ex, conv)
+    _, p, ex, conv = min(evaluated, key=lambda item: item[0])
+    return _make_set(X, labels, ex, conv, float(p), len(evaluated))

@@ -124,6 +124,28 @@ def _features_for(X, triples):
     return triples[keep], feats[keep]
 
 
+def _nearest_columns(d2, k):
+    """Columns of the k smallest entries of each row of d2, nearest first,
+    ties to the lower column: the first k columns of a stable argsort.
+
+    Partitioning at the k-th smallest value finds the kept set without
+    sorting whole rows; only the k kept columns are then sorted. Needs
+    1 <= k <= the number of columns.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    take = d2 <= kth
+    over = np.flatnonzero(take.sum(axis=1) > k)
+    if len(over):
+        # more than one entry ties at the k-th value: the lowest columns
+        # among them fill the row
+        ties = d2[over] == kth[over]
+        room = k - (d2[over] < kth[over]).sum(axis=1, keepdims=True)
+        take[over] &= ~ties | (np.cumsum(ties, axis=1) <= room)
+    cols = np.nonzero(take)[1].reshape(len(d2), k)
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 def build_sparse_tensor(
     Xs, Xt, t_per_node=50, knn=300, pool_factor=20, seed=0, exhaustive=False
 ):
@@ -145,6 +167,8 @@ def build_sparse_tensor(
     N = ns * nt
     if N**3 >= 2**63:
         raise ValueError("pair-index space too large for 64-bit dedup keys")
+    if not exhaustive and knn < 1:
+        raise ValueError("knn must be >= 1")
 
     if exhaustive:
         pool = np.array(list(permutations(range(nt), 3)), dtype=int)
@@ -173,36 +197,36 @@ def build_sparse_tensor(
     if not chunks:
         raise ValueError("degenerate source domain: no valid triangles")
 
-    # per-node chunks keep the knn distance matrices small
-    pair_parts = []
+    # per-node chunks keep the knn distance matrices small; each candidate
+    # is kept only as the int64 key of its ascending pair indices
+    key_parts = []
     d2_parts = []
     for tri, feats in chunks:
         d2 = pairwise_sq_dists(feats, pool_feats)
-        # stable ordering so nearest-triangle ties resolve by sampling order
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        # nearest pool triangles first, ties to the one sampled earlier
+        order = _nearest_columns(d2, k)
         d2_parts.append(np.take_along_axis(d2, order, axis=1).ravel())
-        src_rep = np.repeat(tri, k, axis=0)
-        pair_parts.append(src_rep * nt + pool[order.ravel()])
+        pairs = (tri[:, None, :] * nt + pool[order]).reshape(-1, 3)
+        pairs.sort(axis=1)
+        key_parts.append((pairs[:, 0] * N + pairs[:, 1]) * N + pairs[:, 2])
     cand_d2 = np.concatenate(d2_parts)
-    pairs = np.vstack(pair_parts)  # (num candidates, 3) pair indices
+    keys = np.concatenate(key_parts)
+    del d2_parts, key_parts
 
     mean_sq = float(cand_d2.mean())
     gamma = 1.0 if mean_sq == 0.0 else 1.0 / mean_sq
-    vals = np.exp(-gamma * cand_d2)
 
-    # one entry per unordered triangle pair, slots in ascending order; the
-    # first sampled copy wins (re-sampled pairs can differ in the last float
-    # bits), and np.unique leaves the entries sorted by their key
-    canon = np.sort(pairs, axis=1)
-    keys = (canon[:, 0] * N + canon[:, 1]) * N + canon[:, 2]
-    _, keep = np.unique(keys, return_index=True)
-    canon = canon[keep]
-
+    # one entry per unordered triangle pair; the first sampled copy wins
+    # (re-sampled pairs can differ in the last float bits), and np.unique
+    # leaves the entries sorted by their key
+    unique_keys, keep = np.unique(keys, return_index=True)
+    p12, p3 = np.divmod(unique_keys, N)
+    p1, p2 = np.divmod(p12, N)
     return SparseTensor3(
-        p1=canon[:, 0],
-        p2=canon[:, 1],
-        p3=canon[:, 2],
-        values=vals[keep],
+        p1=p1,
+        p2=p2,
+        p3=p3,
+        values=np.exp(-gamma * cand_d2[keep]),
         gamma=gamma,
         ns=ns,
         nt=nt,

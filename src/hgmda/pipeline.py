@@ -18,12 +18,13 @@ import hashlib
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
 from .data import LabeledDataset, NonFiniteError, class_index_sets
 from .exemplars import APConfig, ExemplarSet, select_exemplars
-from .graphs import adjacency_matrix, build_sparse_tensor, sigma_heuristic
+from .graphs import SparseTensor3, adjacency_matrix, build_sparse_tensor, sigma_heuristic
 from .objective import ObjectiveContext, ObjectiveWeights
 from .solver import cg_solve
 
@@ -101,74 +102,128 @@ def _round_seed(seed, round_index):
     return int(np.random.SeedSequence([seed, round_index]).generate_state(1)[0])
 
 
-@dataclass
-class _Run:
-    """What one adapt run computed before and in each completed round.
+# the stages a round record times, in seconds
+STAGES = ("exemplars", "graphs", "tensor", "solver", "ridge")
 
-    rounds holds (current, C_star, src_ex, record) after each round. A run
-    with n_outer = k reproduces the first k rounds of a longer run with the
-    same inputs and otherwise equal config exactly, so these checkpoints can
-    stand in for recomputing them.
+
+@dataclass
+class _Trial:
+    """What adapt runs compute on one set of inputs.
+
+    The target's exemplars, bandwidth and adjacency, the round-1 source
+    exemplars and the round-1 tensor depend on the data and the config but
+    on none of lam2, lam3 and n_outer, so every run that differs only in
+    those shares them; the tensor is built the first time a run has
+    lam3 > 0. rounds holds (current, C_star, src_ex, record) after each
+    round of the last run, whose (lam2, lam3) is weights. A run with
+    n_outer = k reproduces the first k rounds of a longer run with the same
+    weights exactly, so these checkpoints can stand in for recomputing them.
     """
 
     key: object
-    tgt_ex: ExemplarSet
-    sigma_t: float
-    Dt: np.ndarray
+    tgt_ex: Optional[ExemplarSet] = None
+    sigma_t: Optional[float] = None
+    Dt: Optional[np.ndarray] = None
+    src_ex: Optional[ExemplarSet] = None
+    tensor: Optional[SparseTensor3] = None
+    weights: Optional[tuple] = None
     rounds: list = field(default_factory=list)
 
 
-# single-slot store of the last _Run, open only inside _reuse_rounds
-_RUN_SLOT = contextvars.ContextVar("hgmda_run_slot", default=None)
+# single-slot store of the last _Trial, open only inside _reuse_rounds
+_TRIAL_SLOT = contextvars.ContextVar("hgmda_trial_slot", default=None)
 
 
 @contextlib.contextmanager
 def _reuse_rounds():
-    """Within this scope adapt keeps the rounds of its last run and replays
-    them for a later call on the same inputs and config (n_outer aside),
-    computing only the rounds after them. A call on other inputs or config
-    replaces the kept run; nothing is kept once the scope closes."""
-    token = _RUN_SLOT.set([None])
+    """Within this scope adapt keeps what its last run computed. A later
+    call on the same inputs and config (lam2, lam3 and n_outer aside) takes
+    the target exemplars, the round-1 source exemplars and the round-1
+    tensor from it; with the same lam2 and lam3 it also replays the rounds
+    already completed, computing only the rounds after them. A call on
+    other inputs or config replaces the kept trial; nothing is kept once
+    the scope closes."""
+    token = _TRIAL_SLOT.set([None])
     try:
         yield
     finally:
-        _RUN_SLOT.reset(token)
+        _TRIAL_SLOT.reset(token)
 
 
-def _run_key(source, target, cfg):
+def _trial_key(source, target, cfg):
     digest = hashlib.blake2b(digest_size=16)
     for arr in (source.features, source.labels, target):
         arr = np.ascontiguousarray(arr)
         digest.update(f"{arr.shape}{arr.dtype.str}".encode())
         digest.update(arr.tobytes())
-    return digest.digest(), source.num_classes, replace(cfg, n_outer=1)
+    return digest.digest(), source.num_classes, replace(cfg, n_outer=1, lam2=0.0, lam3=0.0)
 
 
-def _outer_round(source, current, run, cfg, round_index):
+@contextlib.contextmanager
+def _timed(times, stage):
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        times[stage] += time.perf_counter() - start
+
+
+def _tensor(src_ex, tgt_ex, cfg, round_index):
+    return build_sparse_tensor(
+        src_ex.features,
+        tgt_ex.features,
+        t_per_node=cfg.t_per_node,
+        knn=cfg.knn,
+        pool_factor=cfg.pool_factor,
+        seed=_round_seed(cfg.seed, round_index),
+    )
+
+
+def _outer_round(source, target, current, trial, cfg, round_index):
     """One round: match the current source exemplars to the target
     exemplars and map the whole current source through the ridge fit.
-    Returns the checkpoint (current, C_star, src_ex, record)."""
+    Round 1 takes its exemplars and tensor from the trial, computing and
+    keeping there whichever it lacks. Returns the checkpoint
+    (current, C_star, src_ex, record)."""
     t0 = time.perf_counter()
-    tgt_ex = run.tgt_ex
-    src_ex = select_exemplars(current, cfg.eta, cfg.ap, labels=source.labels)
+    times = dict.fromkeys(STAGES, 0.0)
+    first = round_index == 1
+    built = []  # the trial inputs this round computed
+
+    def round_input(name, build):
+        # round 1's inputs live in the trial; later rounds build their own
+        if not first:
+            return build()
+        if getattr(trial, name) is None:
+            setattr(trial, name, build())
+            built.append(name)
+        return getattr(trial, name)
+
+    if trial.tgt_ex is None:
+        # the target never moves, so its exemplars and bandwidth are fixed
+        with _timed(times, "exemplars"):
+            trial.tgt_ex = select_exemplars(target, cfg.eta, cfg.ap)
+        with _timed(times, "graphs"):
+            trial.sigma_t = sigma_heuristic(trial.tgt_ex.features)
+            trial.Dt = adjacency_matrix(trial.tgt_ex.features, trial.sigma_t)
+    tgt_ex = trial.tgt_ex
+    with _timed(times, "exemplars"):
+        src_ex = round_input(
+            "src_ex", lambda: select_exemplars(current, cfg.eta, cfg.ap, labels=source.labels)
+        )
     if src_ex.count < 3 or tgt_ex.count < 3:
         raise ValueError(
             f"round {round_index}: need at least 3 exemplars per domain, "
             f"got {src_ex.count} source / {tgt_ex.count} target"
         )
 
-    sigma_s = sigma_heuristic(src_ex.features)
-    Ds = adjacency_matrix(src_ex.features, sigma_s)
+    with _timed(times, "graphs"):
+        sigma_s = sigma_heuristic(src_ex.features)
+        Ds = adjacency_matrix(src_ex.features, sigma_s)
     tensor = None
     if cfg.lam3 > 0.0:
-        tensor = build_sparse_tensor(
-            src_ex.features,
-            tgt_ex.features,
-            t_per_node=cfg.t_per_node,
-            knn=cfg.knn,
-            pool_factor=cfg.pool_factor,
-            seed=_round_seed(cfg.seed, round_index),
-        )
+        with _timed(times, "tensor"):
+            tensor = round_input("tensor", lambda: _tensor(src_ex, tgt_ex, cfg, round_index))
     groups = None
     if cfg.lam_g > 0.0:
         groups = class_index_sets(src_ex.labels, source.num_classes)
@@ -177,20 +232,22 @@ def _outer_round(source, current, run, cfg, round_index):
         Xs=src_ex.features,
         Xt=tgt_ex.features,
         Ds=Ds,
-        Dt=run.Dt,
+        Dt=trial.Dt,
         tensor=tensor,
         class_groups=groups,
     )
-    C_star, diag = cg_solve(
-        ctx,
-        ObjectiveWeights(lam2=cfg.lam2, lam3=cfg.lam3, lam_g=cfg.lam_g),
-        cg_iters=cfg.cg_iters,
-        admm_iters=cfg.admm_iters,
-        warm_start=cfg.warm_start,
-    )
-    matched = C_star @ tgt_ex.features
-    mapping = fit_ridge_mapping(src_ex.features, matched, cfg.ridge_mu)
-    current = mapping.apply(current)
+    with _timed(times, "solver"):
+        C_star, diag = cg_solve(
+            ctx,
+            ObjectiveWeights(lam2=cfg.lam2, lam3=cfg.lam3, lam_g=cfg.lam_g),
+            cg_iters=cfg.cg_iters,
+            admm_iters=cfg.admm_iters,
+            warm_start=cfg.warm_start,
+        )
+    with _timed(times, "ridge"):
+        matched = C_star @ tgt_ex.features
+        mapping = fit_ridge_mapping(src_ex.features, matched, cfg.ridge_mu)
+        current = mapping.apply(current)
     if not np.all(np.isfinite(current)):
         raise NonFiniteError(f"round {round_index}: adapted features non-finite")
     # the last recorded iterate residuals are those of the returned C_star
@@ -202,8 +259,12 @@ def _outer_round(source, current, run, cfg, round_index):
         "n_target_exemplars": int(tgt_ex.count),
         "source_ap_converged": bool(src_ex.converged),
         "target_ap_converged": bool(tgt_ex.converged),
+        "source_ap_runs": src_ex.ap_runs,
+        "target_ap_runs": tgt_ex.ap_runs,
+        "source_preference": src_ex.preference,
+        "target_preference": tgt_ex.preference,
         "sigma_s": float(sigma_s),
-        "sigma_t": float(run.sigma_t),
+        "sigma_t": float(trial.sigma_t),
         "tensor_entries": 0 if tensor is None else int(tensor.m),
         "objective": diag.objective_trace[-1],
         "fw_gap": diag.final_gap,
@@ -211,6 +272,8 @@ def _outer_round(source, current, run, cfg, round_index):
         "col_residual": col_residual,
         "feasible": max(row_residual, col_residual) <= FEASIBILITY_TOL,
         "solver": diag.as_dict(),
+        "shared_inputs": first and not built,
+        "stage_times": times,
         "wall_time": time.perf_counter() - t0,
     }
     return current, C_star, src_ex, record
@@ -222,30 +285,30 @@ def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
     Raises NonFiniteError if any round produces non-finite features and
     ValueError when a domain yields fewer than 3 exemplars (triangles need
     three distinct points). Issues a RuntimeWarning for each round whose
-    matching breaks FEASIBILITY_TOL. Inside _reuse_rounds, rounds an earlier
-    call on the same inputs already completed are replayed, not recomputed.
+    matching breaks FEASIBILITY_TOL. Inside _reuse_rounds, inputs and rounds
+    an earlier call on the same inputs already computed are reused, not
+    recomputed.
     """
     target = np.asarray(target, dtype=float)
     if target.shape[1] != source.d:
         raise ValueError("source and target feature dimensions differ")
 
-    slot = _RUN_SLOT.get()
-    key = None if slot is None else _run_key(source, target, cfg)
-    run = None if slot is None else slot[0]
-    if run is None or run.key != key:
-        # the target never moves, so its exemplars and bandwidth are fixed
-        tgt_ex = select_exemplars(target, cfg.eta, cfg.ap)
-        sigma_t = sigma_heuristic(tgt_ex.features)
-        Dt = adjacency_matrix(tgt_ex.features, sigma_t)
-        run = _Run(key=key, tgt_ex=tgt_ex, sigma_t=sigma_t, Dt=Dt)
+    slot = _TRIAL_SLOT.get()
+    key = None if slot is None else _trial_key(source, target, cfg)
+    trial = None if slot is None else slot[0]
+    if trial is None or trial.key != key:
+        trial = _Trial(key=key)
         if slot is not None:
-            slot[0] = run
+            slot[0] = trial
+    if trial.weights != (cfg.lam2, cfg.lam3):
+        trial.weights = (cfg.lam2, cfg.lam3)
+        trial.rounds = []
 
     for index in range(cfg.n_outer):
-        if index == len(run.rounds):
-            current = run.rounds[-1][0] if run.rounds else source.features.astype(float)
-            run.rounds.append(_outer_round(source, current, run, cfg, index + 1))
-        record = run.rounds[index][3]
+        if index == len(trial.rounds):
+            current = trial.rounds[-1][0] if trial.rounds else source.features.astype(float)
+            trial.rounds.append(_outer_round(source, target, current, trial, cfg, index + 1))
+        record = trial.rounds[index][3]
         if not record["feasible"]:
             warnings.warn(
                 f"round {record['round']}: matching breaks the {FEASIBILITY_TOL:g} "
@@ -256,11 +319,11 @@ def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
             )
 
     # the checkpoints may be replayed to a later call: hand out copies only
-    current, C_star, src_ex, _ = run.rounds[cfg.n_outer - 1]
+    current, C_star, src_ex, _ = trial.rounds[cfg.n_outer - 1]
     return AdaptResult(
         adapted=current.copy(),
         matching=C_star.copy(),
         source_exemplars=src_ex.indices.copy(),
-        target_exemplars=run.tgt_ex.indices.copy(),
-        rounds=copy.deepcopy([checkpoint[3] for checkpoint in run.rounds[: cfg.n_outer]]),
+        target_exemplars=trial.tgt_ex.indices.copy(),
+        rounds=copy.deepcopy([checkpoint[3] for checkpoint in trial.rounds[: cfg.n_outer]]),
     )

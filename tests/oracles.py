@@ -2,16 +2,22 @@
 
 Everything here is written independently of the package internals and favors
 brute force over speed: exhaustive enumeration, dense tensors, generic
-projection methods. Tests compare package output against these. The one
-exception is reference_admm_lp, the package's earlier three-block ADMM sweep,
-which shares the package's state container and stopping constants so that
+projection methods. Tests compare package output against these. There are
+two exceptions. reference_admm_lp, the package's earlier three-block ADMM
+sweep, shares the package's state container and stopping constants so that
 the two can be compared call for call, warm starts included.
+reference_build_sparse_tensor, the package's earlier full-sort tensor build,
+shares its triangle sampling and tensor container so that the two can be
+compared bit for bit.
 """
 
 import itertools
+from itertools import combinations, permutations
 
 import numpy as np
 
+from hgmda.data import pairwise_sq_dists
+from hgmda.graphs import SparseTensor3, _features_for, _sample_triples
 from hgmda.solver import GRADIENT_SCALE, RESIDUAL_CHECK_EVERY, RESIDUAL_TOL, AdmmState
 
 
@@ -186,3 +192,94 @@ def reference_admm_lp(G, a, b, iters=300, state=None, gradient_scale=None):
     state.Z, state.Y1, state.Y2, state.Y3 = Z, Y1, Y2, Y3
     state.iterations += sweeps
     return np.maximum(Z, 0.0), state
+
+
+def reference_build_sparse_tensor(
+    Xs, Xt, t_per_node=50, knn=300, pool_factor=20, seed=0, exhaustive=False
+):
+    """build_sparse_tensor exactly as the package ran it before it chose
+    each source triangle's nearest target triangles by partial selection:
+    a full stable argsort of every distance row, and the candidate pair
+    indices kept as an (m, 3) array. The package's build must return the
+    same entries, values and gamma bit for bit.
+
+    Sample triangle correspondences and store their similarity values.
+
+    For every source node, t_per_node random source triangles through that
+    node are matched to their knn nearest triangles (by feature distance)
+    from a shared pool of pool_factor * n_t random target triangles. gamma
+    comes from the mean squared feature distance over all candidate pairs.
+    The RNG is split per source node, so results do not depend on evaluation
+    order. exhaustive=True enumerates every source triangle and every target
+    vertex ordering instead (only sensible for tiny inputs).
+    """
+    Xs = np.asarray(Xs, dtype=float)
+    Xt = np.asarray(Xt, dtype=float)
+    ns, nt = Xs.shape[0], Xt.shape[0]
+    if ns < 3 or nt < 3:
+        raise ValueError("third-order term needs at least 3 points per domain")
+    N = ns * nt
+    if N**3 >= 2**63:
+        raise ValueError("pair-index space too large for 64-bit dedup keys")
+
+    if exhaustive:
+        pool = np.array(list(permutations(range(nt), 3)), dtype=int)
+    else:
+        root = np.random.SeedSequence(seed)
+        children = root.spawn(ns + 1)
+        pool_rng = np.random.default_rng(children[ns])
+        pool = _sample_triples(pool_rng, nt, pool_factor * nt)
+    pool, pool_feats = _features_for(Xt, pool)
+    if len(pool) == 0:
+        raise ValueError("degenerate target domain: no valid triangles")
+
+    if exhaustive:
+        tri = np.array(list(combinations(range(ns), 3)), dtype=int)
+        chunks = [_features_for(Xs, tri)]
+        k = len(pool)
+    else:
+        chunks = [
+            _features_for(
+                Xs, _sample_triples(np.random.default_rng(children[i]), ns, t_per_node, anchor=i)
+            )
+            for i in range(ns)
+        ]
+        k = min(knn, len(pool))
+    chunks = [(tri, feats) for tri, feats in chunks if len(tri)]
+    if not chunks:
+        raise ValueError("degenerate source domain: no valid triangles")
+
+    # per-node chunks keep the knn distance matrices small
+    pair_parts = []
+    d2_parts = []
+    for tri, feats in chunks:
+        d2 = pairwise_sq_dists(feats, pool_feats)
+        # stable ordering so nearest-triangle ties resolve by sampling order
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        d2_parts.append(np.take_along_axis(d2, order, axis=1).ravel())
+        src_rep = np.repeat(tri, k, axis=0)
+        pair_parts.append(src_rep * nt + pool[order.ravel()])
+    cand_d2 = np.concatenate(d2_parts)
+    pairs = np.vstack(pair_parts)  # (num candidates, 3) pair indices
+
+    mean_sq = float(cand_d2.mean())
+    gamma = 1.0 if mean_sq == 0.0 else 1.0 / mean_sq
+    vals = np.exp(-gamma * cand_d2)
+
+    # one entry per unordered triangle pair, slots in ascending order; the
+    # first sampled copy wins (re-sampled pairs can differ in the last float
+    # bits), and np.unique leaves the entries sorted by their key
+    canon = np.sort(pairs, axis=1)
+    keys = (canon[:, 0] * N + canon[:, 1]) * N + canon[:, 2]
+    _, keep = np.unique(keys, return_index=True)
+    canon = canon[keep]
+
+    return SparseTensor3(
+        p1=canon[:, 0],
+        p2=canon[:, 1],
+        p3=canon[:, 2],
+        values=vals[keep],
+        gamma=gamma,
+        ns=ns,
+        nt=nt,
+    )

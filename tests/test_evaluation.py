@@ -139,21 +139,28 @@ class TestRunTask:
 
 
 def without_wall_times(rounds):
-    """A deep copy of round records minus their (round and solver) timings."""
+    """A deep copy of round records minus their (round, stage and solver)
+    timings and shared_inputs, which says where a round's inputs came from,
+    not what they are."""
     rounds = copy.deepcopy(rounds)
     for r in rounds:
-        del r["wall_time"], r["solver"]["wall_time"]
+        del r["wall_time"], r["stage_times"], r["shared_inputs"], r["solver"]["wall_time"]
     return rounds
 
 
 class TestRoundReuse:
-    """run_task lets combos that differ only in N_T share their leading
-    rounds; every combo must still get what a fresh adapt would return."""
+    """Within one trial run_task computes the lambda-independent inputs
+    (target exemplars, round-1 source exemplars, round-1 tensor) once, and
+    lets combos that differ only in N_T share their leading rounds; every
+    combo must still get what a fresh adapt would return."""
 
-    def grid_spec(self, tmp_path, n_outer_grid):
+    LAM2, LAM3 = (0.01, 0.1), (0.0, 0.01)
+
+    def grid_spec(self, tmp_path, n_outer_grid, trials=1):
+        cfg = AdaptationConfig(eta=0.5, lam2=0.01, lam_g=0.01, cg_iters=8, admm_iters=800)
         return small_spec(
-            write_task_files(tmp_path), trials=1, lam2_grid=(0.01, 0.1),
-            n_outer_grid=n_outer_grid,
+            write_task_files(tmp_path), trials=trials, config=cfg, lam2_grid=self.LAM2,
+            lam3_grid=self.LAM3, n_outer_grid=n_outer_grid,
         )
 
     def capture_adapts(self, monkeypatch, mutate_previous=False):
@@ -194,24 +201,50 @@ class TestRoundReuse:
     def test_every_combo_matches_a_fresh_adapt(self, tmp_path, monkeypatch, n_outer_grid):
         seen = self.capture_adapts(monkeypatch)
         run_task(self.grid_spec(tmp_path, n_outer_grid), seed=0)
-        assert [(c.lam2, c.n_outer) for _, _, c, *_ in seen] == [
-            (l2, n) for l2 in (0.01, 0.1) for n in n_outer_grid
+        assert [(c.lam2, c.lam3, c.n_outer) for _, _, c, *_ in seen] == [
+            (l2, l3, n) for l2 in self.LAM2 for l3 in self.LAM3 for n in n_outer_grid
         ]
         self.assert_match_fresh(seen)
 
     def test_each_round_is_solved_once_per_trial(self, tmp_path, monkeypatch):
-        calls = []
-        cg_solve = hgmda.pipeline.cg_solve
+        """Counts the work of 2 trials of 2 lam2 x 2 lam3 x N_T (1, 2)."""
+        solves, selections, tensors, shared = [], [], [], []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return cg_solve(*args, **kwargs)
+        def counting(name, fn, log, key):
+            def wrapper(*args, **kwargs):
+                log.append(key(*args, **kwargs))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(hgmda.pipeline, name, wrapper)
 
-        monkeypatch.setattr(hgmda.pipeline, "cg_solve", counting)
-        run_task(self.grid_spec(tmp_path, (1, 2)), seed=0)
-        # 2 lam2 values x max N_T = 2 rounds, not 2 x (1 + 2)
-        assert len(calls) == 4
-        assert hgmda.pipeline._RUN_SLOT.get() is None
+        counting("cg_solve", hgmda.pipeline.cg_solve, solves, lambda *a, **k: None)
+        # an exemplar selection or tensor build made twice on the same
+        # inputs shows up as a repeated key
+        counting("select_exemplars", hgmda.pipeline.select_exemplars, selections,
+                 lambda X, *a, labels=None: (labels is None, np.asarray(X).tobytes()))
+        counting("build_sparse_tensor", hgmda.pipeline.build_sparse_tensor, tensors,
+                 lambda Xs, Xt, **k: (Xs.tobytes(), Xt.tobytes(), k["seed"]))
+
+        def keep(source, target, cfg):
+            res = adapt(source, target, cfg)
+            shared.append([r["shared_inputs"] for r in res.rounds])
+            return res
+
+        monkeypatch.setattr(hgmda.evaluation, "adapt", keep)
+        run_task(self.grid_spec(tmp_path, (1, 2), trials=2), seed=0)
+        # 4 (lam2, lam3) x max N_T = 2 rounds per trial, not 4 x (1 + 2)
+        assert len(solves) == 2 * 8
+        # per trial: 1 target, 1 round-1 source and 4 round-2 source
+        # selections, not 4 x (1 + 2); 1 round-1 and 2 round-2 tensors
+        # (lam3 > 0 only), not 2 x 2
+        assert len(selections) == 2 * 6 and len(set(selections)) == len(selections)
+        assert sum(is_target for is_target, _ in selections) == 2
+        assert len(tensors) == 2 * 3 and len(set(tensors)) == len(tensors)
+        # the first lam2 computes round 1's inputs (the tensor with its first
+        # lam3 > 0); the second takes them from the trial
+        per_trial = [[False], [False, False], [False], [False, False],
+                     [True], [True, False], [True], [True, False]]
+        assert shared == 2 * per_trial
+        assert hgmda.pipeline._TRIAL_SLOT.get() is None
 
     # (2, 2): a repeated N_T is handed the same kept round twice
     @pytest.mark.parametrize("n_outer_grid", [(1, 2), (2, 1), (2, 2)])

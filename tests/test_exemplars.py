@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hgmda import exemplars
 from hgmda.data import pairwise_sq_dists
 from hgmda.exemplars import (
     APConfig,
@@ -115,6 +116,43 @@ class TestSelectExemplars:
         labels = np.repeat([1, 2, 3], 10)
         got = select_exemplars(X, 0.1, labels=labels)
         assert np.array_equal(got.labels, labels[got.indices])
+
+    def test_records_the_preference_that_chose_them(self):
+        X = np.random.default_rng(1).normal(size=(30, 4))
+        got = select_exemplars(X, 0.3)
+        # two bracket runs, then bisection steps up to the budget
+        assert 1 <= got.ap_runs <= 2 + APConfig().bisect_steps
+        ex, converged = affinity_propagation(similarity_matrix(X, got.preference))
+        assert np.array_equal(np.sort(ex), got.indices)
+        assert converged == got.converged
+
+    def test_bracket_hit_takes_one_run(self):
+        # the lowest preference, 2 * min similarity, already leaves one
+        # exemplar per cluster, the 3 that eta asks for
+        X = cluster_data()
+        got = select_exemplars(X, 0.1)
+        assert got.count == 3
+        assert got.ap_runs == 1
+        assert got.preference == 2.0 * (-pairwise_sq_dists(X)).min()
+
+    def test_exhausted_budget_counts_every_run(self, monkeypatch):
+        # no preference leaves fewer than one exemplar per cluster, so the
+        # count is missed and the closest run wins
+        calls = []
+
+        def counted(S, cfg=APConfig()):
+            calls.append(1)
+            return affinity_propagation(S, cfg)
+
+        monkeypatch.setattr(exemplars, "affinity_propagation", counted)
+        got = select_exemplars(cluster_data(), 1.0 / 30.0)
+        assert got.count == 3
+        assert got.ap_runs == len(calls) > 1
+
+    def test_eta_one_runs_no_ap(self):
+        got = select_exemplars(np.zeros((3, 1)), 1.0)
+        assert got.ap_runs == 0
+        assert got.preference is None
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):

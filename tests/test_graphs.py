@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmda.graphs import (
+    _nearest_columns,
     adjacency_matrix,
     build_sparse_tensor,
     sigma_heuristic,
     triangle_feature,
 )
 
-from oracles import triangle_sines
+from oracles import reference_build_sparse_tensor, triangle_sines
 
 
 class TestSigmaHeuristic:
@@ -219,3 +220,61 @@ class TestBuildSparseTensor:
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least 3"):
             build_sparse_tensor(np.zeros((2, 2)), np.zeros((5, 2)))
+
+    def test_rejects_knn_below_one(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="knn"):
+            build_sparse_tensor(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), knn=0)
+
+
+def lattice(n, side):
+    """The first n points of a side x side integer grid: many congruent
+    triangles, so many equal feature distances."""
+    return np.array([[i // side, i % side] for i in range(n)], dtype=float)
+
+
+def normals(seed, ns, nt, d):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(ns, d)), rng.normal(size=(nt, d))
+
+
+# (Xs, Xt, keyword arguments)
+REFERENCE_CASES = {
+    "lattice-ties": (
+        lattice(10, 4), lattice(12, 4) + 3.0,
+        dict(t_per_node=20, knn=25, pool_factor=6, seed=3),
+    ),
+    "lattice-square": (lattice(16, 4), lattice(16, 4), dict(t_per_node=30, knn=100, seed=5)),
+    # a pool of 3 * 5 target triangles, all of them kept
+    "k-is-pool": (*normals(1, 6, 5, 2), dict(t_per_node=4, knn=15, pool_factor=3, seed=1)),
+    "exhaustive": (*normals(2, 5, 4, 2), dict(exhaustive=True)),
+    "2-d": (*normals(3, 30, 60, 2), dict(seed=7)),
+    "800-d": (*normals(4, 12, 15, 800), dict(t_per_node=10, knn=30, pool_factor=5, seed=2)),
+}
+
+
+class TestMatchesFullSortReference:
+    """The partial-selection build returns the full-sort build's tensor bit
+    for bit: same entries in the same order, same dtypes, same gamma."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_bit_identical(self, case):
+        Xs, Xt, kwargs = REFERENCE_CASES[case]
+        got = build_sparse_tensor(Xs, Xt, **kwargs)
+        want = reference_build_sparse_tensor(Xs, Xt, **kwargs)
+        assert got.m > 0
+        for name in ("p1", "p2", "p3", "values"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert got.gamma == want.gamma
+        assert (got.ns, got.nt) == (want.ns, want.nt)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9, 10])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nearest_columns_are_a_stable_argsort_prefix(self, k, seed):
+        # values from {0, 1, 2}: every row ties at its k-th value
+        d2 = np.random.default_rng(seed).integers(0, 3, size=(30, 10)).astype(float)
+        want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(_nearest_columns(d2, k), want)
+

@@ -145,6 +145,35 @@ class TestAdaptLoop:
             assert r["tensor_entries"] == 0
             assert len(r["solver"]["lp_row_residuals"]) == cfg.cg_iters
 
+    def test_stage_times_and_exemplar_records(self):
+        src, Xt = blob_pair()
+        cfg = AdaptationConfig(
+            eta=0.5, lam2=0.01, lam3=0.1, lam_g=0.01, n_outer=2, cg_iters=5,
+            t_per_node=10, knn=11, pool_factor=5, seed=5,
+        )
+        res = adapt(src, Xt, cfg)
+        for r in res.rounds:
+            times = r["stage_times"]
+            assert tuple(times) == pipeline.STAGES
+            assert all(t > 0.0 for t in times.values())
+            assert sum(times.values()) <= r["wall_time"]
+            # a plain adapt keeps no trial, so each round computes its inputs
+            assert r["shared_inputs"] is False
+            for side in ("source", "target"):
+                assert r[f"{side}_ap_runs"] >= 1
+                assert r[f"{side}_preference"] <= 0.0
+        # the target's exemplars are selected once, in round 1
+        assert res.rounds[0]["target_preference"] == res.rounds[1]["target_preference"]
+        json.dumps(res.rounds)
+
+    def test_stage_times_without_tensor_or_ap(self):
+        src, Xt = blob_pair()
+        res = adapt(src, Xt, AdaptationConfig(eta=1.0, cg_iters=5))
+        (r,) = res.rounds
+        assert r["stage_times"]["tensor"] == 0.0
+        assert r["source_ap_runs"] == r["target_ap_runs"] == 0
+        assert r["source_preference"] is None and r["target_preference"] is None
+
     def test_default_config_is_feasible_and_silent(self):
         source, target = rotated_gaussian_task(n_per_class=20, seed=0)[:2]
         with warnings.catch_warnings():
