@@ -31,8 +31,9 @@ def main(argv=None):
         "--admm-iters",
         type=int,
         default=16000,
-        help="LP sweep budget; fractional eta gives rectangular matching "
-        "problems that need more sweeps to reach tight marginals",
+        help="Sinkhorn iteration cap of each Frank-Wolfe oracle call; the "
+        "oracle rounds its plan onto the polytope, so the marginals are exact "
+        "at any cap",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="-", help="CSV path, - for stdout")

@@ -19,7 +19,7 @@ from .graphs import (
 )
 from .objective import ObjectiveContext, ObjectiveWeights, total_objective
 from .pipeline import AdaptationConfig, AdaptResult, LinearMap, adapt, fit_ridge_mapping
-from .solver import admm_lp, cg_solve, fw_gap
+from .solver import admm_lp, cg_solve
 from .evaluation import (
     ExperimentSpec,
     ResultRecord,
@@ -53,7 +53,6 @@ __all__ = [
     "cg_solve",
     "class_index_sets",
     "fit_ridge_mapping",
-    "fw_gap",
     "knn_predict",
     "load_dataset",
     "load_features",

@@ -16,7 +16,7 @@ import json
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -251,6 +251,9 @@ def load_benchmark_file(path):
         raise ValueError(f"{path}: benchmark file lists no tasks")
 
     cfg_kwargs = dict(doc.get("config", {}))
+    unknown = sorted(set(cfg_kwargs) - {f.name for f in fields(AdaptationConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {unknown}")
     if "eta" in doc:
         cfg_kwargs.setdefault("eta", doc["eta"])
     if "lambda_g" in doc:

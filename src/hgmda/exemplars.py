@@ -138,7 +138,9 @@ def select_exemplars(X, eta, cfg=APConfig(), labels=None):
     eta = 1 bypasses message passing and returns every row. Otherwise the
     preference is bisected over [2 * min offdiagonal similarity, 0] until the
     exemplar count lands within tolerance of round(eta * n); if the budget
-    runs out, the evaluated preference whose count came closest wins.
+    runs out, the evaluated preference whose count came closest wins. When
+    the ends of that bracket already miss the count on the same side, the
+    closer end wins without bisecting.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -168,8 +170,12 @@ def select_exemplars(X, eta, cfg=APConfig(), labels=None):
         if abs(len(ex) - target) <= tol:
             return _make_set(X, labels, ex, conv, float(p), len(evaluated))
 
+    # AP counts rise with the preference, so when p_lo already gives too many
+    # exemplars or p_hi too few, no preference between them comes closer
+    reachable = (len(evaluated[0][2]) <= target + tol
+                 and len(evaluated[1][2]) >= target - tol)
     lo, hi = p_lo, p_hi
-    for _ in range(cfg.bisect_steps):
+    for _ in range(cfg.bisect_steps if reachable else 0):
         mid = 0.5 * (lo + hi)
         ex, conv = run(mid)
         evaluated.append((abs(len(ex) - target), mid, ex, conv))

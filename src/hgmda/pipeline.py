@@ -47,7 +47,6 @@ class AdaptationConfig:
     pool_factor: int = 20
     ridge_mu: float = 1e-3
     seed: int = 0
-    warm_start: bool = True
     ap: APConfig = field(default_factory=APConfig)
 
     def __post_init__(self):
@@ -55,6 +54,8 @@ class AdaptationConfig:
             raise ValueError("eta must lie in (0, 1]")
         if self.n_outer < 1:
             raise ValueError("n_outer must be >= 1")
+        if self.cg_iters < 1 or self.admm_iters < 1:
+            raise ValueError("cg_iters and admm_iters must be >= 1")
         if self.ridge_mu <= 0.0:
             raise ValueError("ridge_mu must be positive")
         if min(self.lam2, self.lam3, self.lam_g) < 0.0:
@@ -242,7 +243,6 @@ def _outer_round(source, target, current, trial, cfg, round_index):
             ObjectiveWeights(lam2=cfg.lam2, lam3=cfg.lam3, lam_g=cfg.lam_g),
             cg_iters=cfg.cg_iters,
             admm_iters=cfg.admm_iters,
-            warm_start=cfg.warm_start,
         )
     with _timed(times, "ridge"):
         matched = C_star @ tgt_ex.features

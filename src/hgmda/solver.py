@@ -38,39 +38,18 @@ acceptance criterion); cg_solve does not call it. It splits the LP into
 three blocks, one per constraint (row sums, column sums, non-negativity),
 coupled through a consensus variable Z; every block update is closed form
 (the three-block consensus form of Boyd et al. 2011, Distributed
-Optimization and Statistical Learning via ADMM, section 7.1).
-The penalty is fixed at rho = 1; since scaling rho is equivalent to scaling
-G, the gradient is normalized internally to a fixed working magnitude
+Optimization and Statistical Learning via ADMM, section 7.1). A sweep
+projects Z - Gw/2 - Y1 onto the row constraint, Z - Gw/2 - Y2 onto the
+column constraint and Z - Y3 onto C >= 0, averages the three blocks Ci into
+the next Z and adds each block's residual Ci - Z to its dual Yi. The
+penalty is fixed at rho = 1; since scaling rho is equivalent to scaling G,
+the gradient Gw is G normalized to the working magnitude GRADIENT_SCALE
 instead, which keeps the sweep budget equally effective across gradient
 scales. The budget is a cap: every RESIDUAL_CHECK_EVERY sweeps the primal
 consensus residual max |Ci - Z| and the dual residual max |Z - Z_prev| are
 checked, and the run stops once both fall below RESIDUAL_TOL (the stopping
 rule of Boyd et al. 2011, section 3.3), measured in the normalized working
 units.
-
-The sweep runs on Z and the non-negativity dual Y3 alone. The three block
-residuals Ci - Z' sum to zero, so the duals keep Y1 + Y2 + Y3 = 0 from a
-start that has it (AdmmState.cold does). With W = Z - Gw/2 and the block
-multipliers r = (rowsum(W - Y1) - a)/nt and c = (colsum(W - Y2) - b)/ns,
-the blocks then sum to C1 + C2 + C3 = 2W + max(Z, Y3) - r (+) c, and one
-sweep reduces to
-
-    M   = max(Z, Y3)
-    Z'  = (2Z - Gw + M - r (+) c) / 3
-    Y3' = M - Z'
-    r'  = r + (2 rowsum(Z') - rowsum(Z) - a) / nt
-    c'  = c + (2 colsum(Z') - colsum(Z) - b) / ns
-
-where r (+) c is the outer sum r[:, None] + c[None, :]: eight elementwise
-passes and two axis sums over the matrix, where the three-block form makes
-twenty. The marginal duals follow from these, Y1' = W - r[:, None] - Z' and
-Y2' = W - c[None, :] - Z', and are rebuilt only at residual checks and on
-exit.
-
-The working magnitude trades value resolution against feasibility progress
-per sweep: the marginal residual after k sweeps grows with the magnitude
-while the value error shrinks with it. A standalone call has to resolve the
-LP vertex within its own budget, so it defaults to a strong tilt.
 """
 
 from __future__ import annotations
@@ -82,7 +61,7 @@ import numpy as np
 
 from .objective import marginals, total_objective, uniform_matching
 
-# default max-abs gradient magnitude admm_lp solves at (see module docstring)
+# max-abs gradient magnitude admm_lp solves at (see module docstring)
 GRADIENT_SCALE = 8.0
 
 # absolute primal/dual residual bound that ends an ADMM run early, checked
@@ -107,121 +86,55 @@ LOG_FLOOR = -460.0
 
 @dataclass
 class AdmmState:
-    """Consensus variable and duals of the LP splitting, as left by the last
-    sweep of an admm_lp call.
+    """How an admm_lp call ended: the sweeps it ran, and the primal and dual
+    residuals of its last sweep (max |Ci - Z| and max |Z - Z_prev|, in
+    normalized working units)."""
 
-    The duals always satisfy Y1 + Y2 + Y3 = 0, which the reduced sweep
-    relies on: cold() starts there and every sweep keeps it. admm_lp carries
-    only Z and Y3 from sweep to sweep and rebuilds Y1 and Y2 on exit, so a
-    warm start sees the same duals the three-block sweep would have left.
-    primal_residual and dual_residual are the residuals of the last sweep
-    of the last call (max |Ci - Z| and max |Z - Z_prev|, in normalized
-    working units). Because every call renormalizes G to the same working
-    magnitude, carried duals keep a consistent scale across warm starts.
-    """
-
-    Z: np.ndarray
-    Y1: np.ndarray
-    Y2: np.ndarray
-    Y3: np.ndarray
-    rho: float = 1.0
-    iterations: int = 0  # sweeps actually run, summed over warm starts
-    primal_residual: float = np.nan
-    dual_residual: float = np.nan
-
-    @classmethod
-    def cold(cls, a, b, Gw=None):
-        """Fresh state: uniform feasible Z; duals pre-loaded against the tilt
-        (at consensus the marginal blocks see Y1 = Y2 = -G/2 up to constant
-        shifts, and the duals must sum to zero), which spares the sweeps that
-        would otherwise just grow the duals to that magnitude."""
-        ns, nt = len(a), len(b)
-        Z = np.tile((np.asarray(a, dtype=float) / nt)[:, None], (1, nt))
-        if Gw is None:
-            Y1, Y2, Y3 = (np.zeros((ns, nt)) for _ in range(3))
-        else:
-            Y1 = -Gw / 2.0
-            Y2 = -Gw / 2.0
-            Y3 = Gw.copy()
-        return cls(Z=Z, Y1=Y1, Y2=Y2, Y3=Y3)
+    iterations: int
+    primal_residual: float
+    dual_residual: float
 
 
-def _marginal_duals(half, Z, r, c, Z_next):
-    """Y1 and Y2 after the sweep that took Z to Z_next with multipliers r, c."""
-    D = Z - half - Z_next
-    return D - r[:, None], D - c
-
-
-def admm_lp(G, a, b, iters=300, state=None, gradient_scale=None):
+def admm_lp(G, a, b, iters=300):
     """Approximately minimize Tr(G^T C) over
     {C >= 0, C 1 = a, C^T 1 = b} by three-block consensus ADMM.
 
-    Runs at most iters (>= 1) sweeps, stopping early once the primal
-    residual max |Ci - Z| and the dual residual max |Z - Z_prev| are both
-    below RESIDUAL_TOL at a check made every RESIDUAL_CHECK_EVERY sweeps.
-    Returns (C, state): C is the final consensus variable with small ADMM
-    negatives clamped to zero, state can be passed back in to warm-start the
-    next call, counts the sweeps run in state.iterations and holds the
-    residuals of the last sweep. gradient_scale overrides the standalone
-    working magnitude; calls that share a state must use the same value, or
-    the carried duals land at the wrong scale. Each sweep is the reduced
-    recursion on Z and Y3 described in the module docstring.
+    Starts from the uniform feasible Z with the duals preloaded against the
+    gradient (at consensus the marginal blocks see Y1 = Y2 = -Gw/2 up to
+    constant shifts, and the duals sum to zero), which spares the sweeps
+    that would otherwise just grow them to that magnitude. Runs at most
+    iters (>= 1) sweeps, stopping early once the primal residual
+    max |Ci - Z| and the dual residual max |Z - Z_prev| are both below
+    RESIDUAL_TOL at a check made every RESIDUAL_CHECK_EVERY sweeps.
+    Returns (C, AdmmState): C is the final consensus variable with small
+    ADMM negatives clamped to zero.
     """
     ns, nt = G.shape
     if len(a) != ns or len(b) != nt:
         raise ValueError("marginal lengths do not match the gradient shape")
     if iters < 1:
         raise ValueError("admm_lp needs at least 1 sweep")
-    if gradient_scale is None:
-        gradient_scale = GRADIENT_SCALE
     scale = np.abs(G).max()
-    Gw = G * (gradient_scale / scale) if scale > 0.0 else np.zeros_like(G)
-    if state is None:
-        state = AdmmState.cold(a, b, Gw)
+    Gw = G * (GRADIENT_SCALE / scale) if scale > 0.0 else np.zeros_like(G)
     half = Gw / 2.0
-    Z, Y1, Y2, Y3 = state.Z, state.Y1, state.Y2, state.Y3
-    r = ((Z - half - Y1).sum(axis=1) - a) / nt
-    c = ((Z - half - Y2).sum(axis=0) - b) / ns
-    rows, cols = Z.sum(axis=1), Z.sum(axis=0)
-    # Z' rotates through three buffers because a residual check needs the
-    # Z two sweeps back to rebuild the duals that entered the sweep
-    z_bufs = [np.empty_like(Z) for _ in range(3)]
-    y_bufs = [np.empty_like(Z) for _ in range(2)]
-    entering = None  # (Z, r, c) the previous sweep started from
+    Z = np.tile((np.asarray(a, dtype=float) / nt)[:, None], (1, nt))
+    Y1, Y2, Y3 = -half, -half, Gw
     for sweeps in range(1, iters + 1):
-        Z_next, Y3_next = z_bufs[sweeps % 3], y_bufs[sweeps % 2]
-        np.maximum(Z, Y3, out=Y3_next)  # M until the last line of the sweep
-        np.multiply(Z, 2.0, out=Z_next)
-        Z_next -= Gw
-        Z_next += Y3_next
-        Z_next -= r[:, None]
-        Z_next -= c
-        Z_next /= 3.0
-        Y3_next -= Z_next
+        W = Z - half
+        V1 = W - Y1
+        C1 = V1 - ((V1.sum(axis=1) - a) / nt)[:, None]
+        V2 = W - Y2
+        C2 = V2 - (V2.sum(axis=0) - b) / ns
+        C3 = np.maximum(Z - Y3, 0.0)
+        Z_prev, Z = Z, (C1 + C2 + C3) / 3.0
+        R1, R2, R3 = C1 - Z, C2 - Z, C3 - Z
+        Y1, Y2, Y3 = Y1 + R1, Y2 + R2, Y3 + R3
         if sweeps % RESIDUAL_CHECK_EVERY == 0 or sweeps == iters:
-            Y1_in, Y2_in = (Y1, Y2) if entering is None else _marginal_duals(half, *entering, Z)
-            Y1, Y2 = _marginal_duals(half, Z, r, c, Z_next)
-            primal = max(np.abs(Y1 - Y1_in).max(), np.abs(Y2 - Y2_in).max(),
-                         np.abs(Y3_next - Y3).max())
-            dual = np.abs(Z_next - Z).max()
-            if sweeps == iters or (primal < RESIDUAL_TOL and dual < RESIDUAL_TOL):
-                Z, Y3 = Z_next, Y3_next
+            primal = max(np.abs(R1).max(), np.abs(R2).max(), np.abs(R3).max())
+            dual = np.abs(Z - Z_prev).max()
+            if primal < RESIDUAL_TOL and dual < RESIDUAL_TOL:
                 break
-        entering = (Z, r, c)
-        rows_next, cols_next = Z_next.sum(axis=1), Z_next.sum(axis=0)
-        r = r + (2.0 * rows_next - rows - a) / nt
-        c = c + (2.0 * cols_next - cols - b) / ns
-        Z, Y3, rows, cols = Z_next, Y3_next, rows_next, cols_next
-    state.Z, state.Y1, state.Y2, state.Y3 = Z, Y1, Y2, Y3
-    state.primal_residual, state.dual_residual = float(primal), float(dual)
-    state.iterations += sweeps
-    return np.maximum(Z, 0.0), state
-
-
-def fw_gap(G, C, C_d):
-    """Tr(G^T (C - C_d)); upper-bounds the suboptimality at C for convex
-    objectives when C_d minimizes the linearization."""
-    return float(np.vdot(G, C - C_d))
+    return np.maximum(Z, 0.0), AdmmState(sweeps, float(primal), float(dual))
 
 
 def _floored_exp(X):
@@ -372,14 +285,14 @@ class CgDiagnostics:
         }
 
 
-def cg_solve(ctx, weights, C0=None, cg_iters=20, admm_iters=300, warm_start=True):
+def cg_solve(ctx, weights, C0=None, cg_iters=20, admm_iters=300):
     """Frank-Wolfe with step 2/(t+2) over the matching polytope.
 
     Returns (C, CgDiagnostics). C0 defaults to the uniform feasible point.
     Each oracle call runs at most admm_iters Sinkhorn iterations (the name
-    predates the Sinkhorn oracle). warm_start starts each call from the
-    previous call's column potential (successive gradients are close, so
-    the potential remains a good guess).
+    predates the Sinkhorn oracle) and starts from the previous call's column
+    potential (successive gradients are close, so the potential remains a
+    good guess).
     """
     if cg_iters < 1 or admm_iters < 1:
         raise ValueError("iteration counts must be >= 1")
@@ -393,10 +306,8 @@ def cg_solve(ctx, weights, C0=None, cg_iters=20, admm_iters=300, warm_start=True
         """Runs the oracle at step 2/(t_i+2); returns its plan and the
         certified gap at C."""
         nonlocal g
-        C_d, g_next, bound, iterations, error = _sinkhorn_lmo(
+        C_d, g, bound, iterations, error = _sinkhorn_lmo(
             G, a, b, 2.0 / (t_i + 2.0), g, admm_iters)
-        if warm_start:
-            g = g_next
         diag.lp_iterations.append(iterations)
         diag.lp_marginal_errors.append(error)
         return C_d, float(np.vdot(G, C)) - bound

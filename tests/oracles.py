@@ -3,22 +3,22 @@
 Everything here is written independently of the package internals and favors
 brute force over speed: exhaustive enumeration, dense tensors, generic
 projection methods. Tests compare package output against these. There are
-two exceptions. reference_admm_lp, the package's earlier three-block ADMM
-sweep, shares the package's state container and stopping constants so that
-the two can be compared call for call, warm starts included.
-reference_build_sparse_tensor, the package's earlier full-sort tensor build,
-shares its triangle sampling and tensor container so that the two can be
-compared bit for bit.
+two exceptions. reference_admm_lp takes the package's working gradient
+magnitude and stopping constants so that the two can be compared sweep for
+sweep. reference_build_sparse_tensor, the package's earlier full-sort
+tensor build, shares its triangle sampling and tensor container so that the
+two can be compared bit for bit.
 """
 
 import itertools
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import numpy as np
 
 from hgmda.data import pairwise_sq_dists
 from hgmda.graphs import SparseTensor3, _features_for, _sample_triples
-from hgmda.solver import GRADIENT_SCALE, RESIDUAL_CHECK_EVERY, RESIDUAL_TOL, AdmmState
+from hgmda.solver import GRADIENT_SCALE, RESIDUAL_CHECK_EVERY, RESIDUAL_TOL
 
 
 def central_difference_grad(fn, C, step=1e-5):
@@ -141,57 +141,44 @@ def projected_gradient(grad_fn, C0, a, b, steps=10000, lr=0.05):
     return C
 
 
-def reference_admm_lp(G, a, b, iters=300, state=None, gradient_scale=None):
-    """Three-block consensus ADMM exactly as the package ran it before its
-    sweep was reduced to a recursion on Z and Y3: every sweep forms the
-    three blocks C1, C2, C3 and updates all three duals. The reduced sweep in
-    hgmda.solver.admm_lp must reproduce this to rounding.
+def reference_admm_lp(G, a, b, iters=300):
+    """Three-block consensus ADMM for min Tr(G^T C) over
+    {C >= 0, C 1 = a, C^T 1 = b}, in the scaled global-consensus form of
+    Boyd et al. 2011, section 7.1, on the raw gradient.
 
-    Approximately minimize Tr(G^T C) over
-    {C >= 0, C 1 = a, C^T 1 = b} by three-block consensus ADMM.
+    The blocks are f1 = <G/2, C> + [C 1 = a], f2 = <G/2, C> + [C^T 1 = b]
+    and f3 = [C >= 0]. A sweep sets Xi = prox_{fi/rho}(Z - Ui), then
+    Z = mean(Xi + Ui), then Ui += Xi - Z. The penalty is
+    rho = max|G| / GRADIENT_SCALE: scaling rho and G together leaves the
+    scaled iterates unchanged, so this is the package's rho = 1 on G
+    normalized to GRADIENT_SCALE. The start is the package's documented one:
+    uniform Z, U1 = U2 = -G/(2 rho), U3 = G/rho.
 
-    Runs at most iters (>= 1) sweeps, stopping early once the primal
-    residual max |Ci - Z| and the dual residual max |Z - Z_prev| are both
-    below RESIDUAL_TOL at a check made every RESIDUAL_CHECK_EVERY sweeps.
-    Returns (C, state): C is the final consensus variable with small ADMM
-    negatives clamped to zero, state can be passed back in to warm-start the
-    next call and counts the sweeps run in state.iterations. gradient_scale
-    overrides the standalone working magnitude; calls that share a state
-    must use the same value, or the carried duals land at the wrong scale.
+    Runs at most iters (>= 0) sweeps and stops on the package's residual
+    test (max |Xi - Z| and max |Z - Z_prev| both below RESIDUAL_TOL, checked
+    every RESIDUAL_CHECK_EVERY sweeps). Returns (C, state): C is Z clamped
+    at zero, state holds Z, the scaled duals U and the sweeps run.
     """
     ns, nt = G.shape
-    if len(a) != ns or len(b) != nt:
-        raise ValueError("marginal lengths do not match the gradient shape")
-    if iters < 1:
-        raise ValueError("admm_lp needs at least 1 sweep")
-    if gradient_scale is None:
-        gradient_scale = GRADIENT_SCALE
-    scale = np.abs(G).max()
-    Gw = G * (gradient_scale / scale) if scale > 0.0 else np.zeros_like(G)
-    if state is None:
-        state = AdmmState.cold(a, b, Gw)
-    Z, Y1, Y2, Y3 = state.Z, state.Y1, state.Y2, state.Y3
-    half = Gw / 2.0
-    for sweeps in range(1, iters + 1):
-        Z_prev = Z
-        W = Z - half
-        V1 = W - Y1
-        C1 = V1 - ((V1.sum(axis=1) - a) / nt)[:, None]
-        V2 = W - Y2
-        C2 = V2 - ((V2.sum(axis=0) - b) / ns)[None, :]
-        C3 = np.maximum(Z - Y3, 0.0)
-        Z = (C1 + C2 + C3) / 3.0
-        R1, R2, R3 = C1 - Z, C2 - Z, C3 - Z
-        Y1 += R1
-        Y2 += R2
-        Y3 += R3
+    rho = np.abs(G).max() / GRADIENT_SCALE or 1.0
+    Z = np.full((ns, nt), 1.0) * (np.asarray(a, dtype=float) / nt)[:, None]
+    U = [-G / (2.0 * rho), -G / (2.0 * rho), G / rho]
+    proxes = [
+        lambda V: _project_rows(V - G / (2.0 * rho), a),
+        lambda V: _project_cols(V - G / (2.0 * rho), b),
+        lambda V: np.maximum(V, 0.0),
+    ]
+    sweeps = 0
+    while sweeps < iters:
+        sweeps += 1
+        X = [prox(Z - Ui) for prox, Ui in zip(proxes, U)]
+        Z_prev, Z = Z, sum(Xi + Ui for Xi, Ui in zip(X, U)) / 3.0
+        U = [Ui + Xi - Z for Xi, Ui in zip(X, U)]
         if sweeps % RESIDUAL_CHECK_EVERY == 0:
-            primal = max(np.abs(R1).max(), np.abs(R2).max(), np.abs(R3).max())
+            primal = max(np.abs(Xi - Z).max() for Xi in X)
             if primal < RESIDUAL_TOL and np.abs(Z - Z_prev).max() < RESIDUAL_TOL:
                 break
-    state.Z, state.Y1, state.Y2, state.Y3 = Z, Y1, Y2, Y3
-    state.iterations += sweeps
-    return np.maximum(Z, 0.0), state
+    return np.maximum(Z, 0.0), SimpleNamespace(Z=Z, U=U, iterations=sweeps)
 
 
 def reference_build_sparse_tensor(

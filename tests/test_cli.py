@@ -155,6 +155,22 @@ class TestBenchmarkCommand:
             assert re.findall(r"toy: trial (\d+)/2 done", err) == ["1", "2"]
         assert len(package_logger.handlers) == 1
 
+    @pytest.mark.parametrize("config, message", [
+        ({"cg_iterz": 3}, "unknown config keys ['cg_iterz']"),
+        ({"admm_iters": 0}, "admm_iters must be >= 1"),
+    ], ids=["unknown-key", "zero-admm-iters"])
+    def test_bad_config_is_exit_one(self, task_files, tmp_path, capsys, config, message):
+        # rejected while the spec is read, before any task runs
+        doc = {"trials": 1, "config": config, "tasks": [dict(name="toy", **task_files)]}
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / "results.csv"
+        code = main(["benchmark", "--spec", str(spec_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_missing_spec_is_exit_one(self, tmp_path, capsys):
         code = main(["benchmark", "--spec", str(tmp_path / "absent.json")])
         assert code == 1

@@ -379,6 +379,14 @@ class TestLoadBenchmarkFile:
         with pytest.raises(ValueError, match="no tasks"):
             load_benchmark_file(self.write_doc(tmp_path, {"tasks": []}))
 
+    def test_unknown_config_keys_rejected(self, tmp_path):
+        doc = {
+            "config": {"cg_iters": 3, "cg_iterz": 3, "warm_start": True},
+            "tasks": [self.task_entry("a_w")],
+        }
+        with pytest.raises(ValueError, match=r"unknown config keys \['cg_iterz', 'warm_start'\]"):
+            load_benchmark_file(self.write_doc(tmp_path, doc))
+
     def test_missing_task_keys_rejected(self, tmp_path):
         doc = {"tasks": [{"name": "broken"}]}
         with pytest.raises(ValueError, match="missing keys"):

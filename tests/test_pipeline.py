@@ -104,6 +104,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AdaptationConfig(ridge_mu=0.0)
 
+    @pytest.mark.parametrize("field", ["cg_iters", "admm_iters"])
+    def test_iteration_counts_positive(self, field):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            AdaptationConfig(**{field: 0})
+        assert getattr(AdaptationConfig(**{field: 1}), field) == 1
+
     def test_weights_non_negative(self):
         with pytest.raises(ValueError):
             AdaptationConfig(lam2=-0.1)
@@ -253,14 +259,6 @@ class TestAdaptLoop:
         res = adapt(src, Xt, cfg)
         assert res.matching.shape == (len(res.source_exemplars), len(res.target_exemplars))
         assert res.matching.shape[0] < src.n
-
-    def test_cold_start_solver_smoke(self):
-        src, Xt = blob_pair()
-        cfg = AdaptationConfig(
-            eta=1.0, lam2=0.01, lam_g=0.01, cg_iters=8, admm_iters=400, warm_start=False
-        )
-        res = adapt(src, Xt, cfg)
-        assert np.all(np.isfinite(res.adapted))
 
     def test_third_order_term_builds_tensor(self):
         src, Xt = blob_pair()
