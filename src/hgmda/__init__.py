@@ -9,7 +9,7 @@ from .data import (
     load_labels,
     write_features,
 )
-from .exemplars import APConfig, ExemplarSet, select_exemplars
+from .exemplars import ExemplarSet, select_exemplars
 from .graphs import (
     SparseTensor3,
     adjacency_matrix,
@@ -33,7 +33,6 @@ from .synthetic import rotated_gaussian_task
 __version__ = "0.1.0"
 
 __all__ = [
-    "APConfig",
     "AdaptResult",
     "AdaptationConfig",
     "ExemplarSet",

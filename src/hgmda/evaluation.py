@@ -86,10 +86,6 @@ class ResultRecord:
     best_n_outer: int
     config: AdaptationConfig
 
-    def as_dict(self):
-        out = {k: v for k, v in self.__dict__.items() if k != "config"}
-        return out
-
 
 def _sample_source(source: LabeledDataset, quota, rng):
     rows = []
@@ -250,17 +246,29 @@ def load_benchmark_file(path):
     if "tasks" not in doc or not doc["tasks"]:
         raise ValueError(f"{path}: benchmark file lists no tasks")
 
-    cfg_kwargs = dict(doc.get("config", {}))
-    unknown = sorted(set(cfg_kwargs) - {f.name for f in fields(AdaptationConfig)})
+    def top(key, convert, default):
+        try:
+            return convert(doc[key]) if key in doc else default
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad value for {key!r}: {exc}") from None
+
+    cfg_kwargs = top("config", dict, {})
+    cfg_fields = {f.name: f for f in fields(AdaptationConfig)}
+    unknown = sorted(set(cfg_kwargs) - set(cfg_fields))
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
     if "eta" in doc:
         cfg_kwargs.setdefault("eta", doc["eta"])
     if "lambda_g" in doc:
         cfg_kwargs.setdefault("lam_g", doc["lambda_g"])
+    for key, value in cfg_kwargs.items():
+        # each field has its default's type; a float field also takes an int
+        kind = type(cfg_fields[key].default)
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise ValueError(f"{path}: config key {key!r} needs a {kind.__name__}, got {value!r}")
     base_cfg = AdaptationConfig(**cfg_kwargs)
 
-    default_quota = int(doc.get("per_class", 20))
+    default_quota = top("per_class", int, 20)
     specs = []
     for task in doc["tasks"]:
         missing = [
@@ -282,12 +290,12 @@ def load_benchmark_file(path):
                 target_features=task["target_features"],
                 target_labels=task["target_labels"],
                 per_class=int(quota),
-                target_fraction=float(doc.get("target_fraction", 0.5)),
-                trials=int(doc.get("trials", 10)),
+                target_fraction=top("target_fraction", float, 0.5),
+                trials=top("trials", int, 10),
                 config=base_cfg,
-                lam2_grid=tuple(doc["lambda2_grid"]) if "lambda2_grid" in doc else None,
-                lam3_grid=tuple(doc["lambda3_grid"]) if "lambda3_grid" in doc else None,
-                n_outer_grid=tuple(doc["n_outer_grid"]) if "n_outer_grid" in doc else None,
+                lam2_grid=top("lambda2_grid", tuple, None),
+                lam3_grid=top("lambda3_grid", tuple, None),
+                n_outer_grid=top("n_outer_grid", tuple, None),
             )
         )
-    return specs, int(doc.get("seed", 0))
+    return specs, top("seed", int, 0)

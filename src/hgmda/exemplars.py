@@ -7,6 +7,11 @@ distinct point its own exemplar. select_exemplars bisects p until the
 exemplar count is close to a requested fraction eta of the data. Message
 passing is fully deterministic; there is no random jitter, and ties are
 resolved toward lower indices.
+
+The settings are fixed: messages are damped by DAMPING = 0.5, a run stops
+once its exemplar set has held for STABLE_WINDOW = 50 iterations or after
+MAX_ITERS = 500, the bisection takes at most BISECT_STEPS = 20 steps, and a
+count within max(1, round(0.02 n)) of round(eta * n) is close enough.
 """
 
 from __future__ import annotations
@@ -18,20 +23,10 @@ import numpy as np
 
 from .data import pairwise_sq_dists
 
-
-@dataclass(frozen=True)
-class APConfig:
-    damping: float = 0.5
-    max_iters: int = 500
-    stable_window: int = 50
-    bisect_steps: int = 20
-    count_tol: Optional[int] = None  # None: max(1, round(0.02 n))
-
-    def __post_init__(self):
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
-        if self.max_iters < 1 or self.stable_window < 1 or self.bisect_steps < 1:
-            raise ValueError("iteration counts must be >= 1")
+DAMPING = 0.5
+MAX_ITERS = 500
+STABLE_WINDOW = 50
+BISECT_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,7 @@ def similarity_matrix(X, p):
     return S
 
 
-def affinity_propagation(S, cfg=APConfig()):
+def affinity_propagation(S):
     """Responsibility/availability message passing.
 
     Returns (exemplar_indices, converged). Exemplars are the points k with
@@ -76,14 +71,13 @@ def affinity_propagation(S, cfg=APConfig()):
     if n == 1:
         return np.array([0]), True
 
-    damping = cfg.damping
     R = np.zeros((n, n))
     A = np.zeros((n, n))
     idx = np.arange(n)
     current = None
     stable = 0
     converged = False
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         # responsibilities: r(i,k) = s(i,k) - max_{k' != k} (a(i,k') + s(i,k'))
         AS = A + S
         top = AS.argmax(axis=1)
@@ -92,7 +86,7 @@ def affinity_propagation(S, cfg=APConfig()):
         second = AS.max(axis=1)
         Rnew = S - first[:, None]
         Rnew[idx, top] = S[idx, top] - second
-        R = damping * R + (1.0 - damping) * Rnew
+        R = DAMPING * R + (1.0 - DAMPING) * Rnew
 
         # availabilities from positive responsibilities
         Rp = np.maximum(R, 0.0)
@@ -101,13 +95,13 @@ def affinity_propagation(S, cfg=APConfig()):
         diag = Anew[idx, idx].copy()
         Anew = np.minimum(Anew, 0.0)
         Anew[idx, idx] = diag
-        A = damping * A + (1.0 - damping) * Anew
+        A = DAMPING * A + (1.0 - DAMPING) * Anew
 
         exemplars = np.flatnonzero(R[idx, idx] + A[idx, idx] > 0.0)
         key = exemplars.tobytes()
         if key == current:
             stable += 1
-            if stable >= cfg.stable_window:
+            if stable >= STABLE_WINDOW:
                 converged = True
                 break
         else:
@@ -132,7 +126,7 @@ def _make_set(X, labels, indices, converged, preference, ap_runs):
     )
 
 
-def select_exemplars(X, eta, cfg=APConfig(), labels=None):
+def select_exemplars(X, eta, labels=None):
     """Pick roughly eta * n rows as exemplars.
 
     eta = 1 bypasses message passing and returns every row. Otherwise the
@@ -151,7 +145,7 @@ def select_exemplars(X, eta, cfg=APConfig(), labels=None):
 
     target = int(round(eta * n))
     target = max(target, 1)
-    tol = cfg.count_tol if cfg.count_tol is not None else max(1, round(0.02 * n))
+    tol = max(1, round(0.02 * n))
 
     S0 = similarity_matrix(X, 0.0)
     off_min = (S0 - np.diag(np.diag(S0))).min()
@@ -161,7 +155,7 @@ def select_exemplars(X, eta, cfg=APConfig(), labels=None):
     def run(p):
         S = S0.copy()
         np.fill_diagonal(S, p)
-        return affinity_propagation(S, cfg)
+        return affinity_propagation(S)
 
     evaluated = []
     for p in (p_lo, p_hi):
@@ -175,7 +169,7 @@ def select_exemplars(X, eta, cfg=APConfig(), labels=None):
     reachable = (len(evaluated[0][2]) <= target + tol
                  and len(evaluated[1][2]) >= target - tol)
     lo, hi = p_lo, p_hi
-    for _ in range(cfg.bisect_steps if reachable else 0):
+    for _ in range(BISECT_STEPS if reachable else 0):
         mid = 0.5 * (lo + hi)
         ex, conv = run(mid)
         evaluated.append((abs(len(ex) - target), mid, ex, conv))

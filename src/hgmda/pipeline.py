@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .data import LabeledDataset, NonFiniteError, class_index_sets
-from .exemplars import APConfig, ExemplarSet, select_exemplars
+from .exemplars import ExemplarSet, select_exemplars
 from .graphs import SparseTensor3, adjacency_matrix, build_sparse_tensor, sigma_heuristic
 from .objective import ObjectiveContext, ObjectiveWeights
 from .solver import cg_solve
@@ -47,7 +47,6 @@ class AdaptationConfig:
     pool_factor: int = 20
     ridge_mu: float = 1e-3
     seed: int = 0
-    ap: APConfig = field(default_factory=APConfig)
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -203,14 +202,14 @@ def _outer_round(source, target, current, trial, cfg, round_index):
     if trial.tgt_ex is None:
         # the target never moves, so its exemplars and bandwidth are fixed
         with _timed(times, "exemplars"):
-            trial.tgt_ex = select_exemplars(target, cfg.eta, cfg.ap)
+            trial.tgt_ex = select_exemplars(target, cfg.eta)
         with _timed(times, "graphs"):
             trial.sigma_t = sigma_heuristic(trial.tgt_ex.features)
             trial.Dt = adjacency_matrix(trial.tgt_ex.features, trial.sigma_t)
     tgt_ex = trial.tgt_ex
     with _timed(times, "exemplars"):
         src_ex = round_input(
-            "src_ex", lambda: select_exemplars(current, cfg.eta, cfg.ap, labels=source.labels)
+            "src_ex", lambda: select_exemplars(current, cfg.eta, labels=source.labels)
         )
     if src_ex.count < 3 or tgt_ex.count < 3:
         raise ValueError(
@@ -219,7 +218,10 @@ def _outer_round(source, target, current, trial, cfg, round_index):
         )
 
     with _timed(times, "graphs"):
-        sigma_s = sigma_heuristic(src_ex.features)
+        try:
+            sigma_s = sigma_heuristic(src_ex.features)
+        except ValueError as exc:
+            raise ValueError(f"round {round_index}: source exemplars: {exc}") from exc
         Ds = adjacency_matrix(src_ex.features, sigma_s)
     tensor = None
     if cfg.lam3 > 0.0:
@@ -284,10 +286,10 @@ def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
 
     Raises NonFiniteError if any round produces non-finite features and
     ValueError when a domain yields fewer than 3 exemplars (triangles need
-    three distinct points). Issues a RuntimeWarning for each round whose
-    matching breaks FEASIBILITY_TOL. Inside _reuse_rounds, inputs and rounds
-    an earlier call on the same inputs already computed are reused, not
-    recomputed.
+    three distinct points) or a round's source exemplars all coincide.
+    Emits a RuntimeWarning for each round whose matching breaks
+    FEASIBILITY_TOL. Inside _reuse_rounds, inputs and rounds an earlier
+    call on the same inputs already computed are reused, not recomputed.
     """
     target = np.asarray(target, dtype=float)
     if target.shape[1] != source.d:

@@ -232,14 +232,11 @@ def _sinkhorn_lmo(G, a, b, gamma, g=None, max_iters=300):
 class CgDiagnostics:
     """Per-iteration record of a conditional-gradient run.
 
-    row/col/min entries track the CG iterates; the lp_* residual lists track
-    the oracle outputs those iterates average, so the convex-combination
-    closure (iterate residual never exceeds the worst oracle residual seen)
-    can be checked from the record alone. gap_trace holds the certified
-    Frank-Wolfe gap of each iteration, final_gap that at the returned C.
-    lp_iterations holds the Sinkhorn iterations each oracle call ran and
-    lp_marginal_errors the L1 marginal error of its plan before rounding,
-    the final gap call included in both.
+    row/col/min entries track the CG iterates, the start included. gap_trace
+    holds the certified Frank-Wolfe gap of each iteration, final_gap that at
+    the returned C. lp_iterations holds the Sinkhorn iterations each oracle
+    call ran and lp_marginal_errors the L1 marginal error of its plan before
+    rounding, the final gap call included in both.
     """
 
     objective_trace: list = field(default_factory=list)
@@ -247,26 +244,15 @@ class CgDiagnostics:
     row_residuals: list = field(default_factory=list)
     col_residuals: list = field(default_factory=list)
     min_entries: list = field(default_factory=list)
-    lp_row_residuals: list = field(default_factory=list)
-    lp_col_residuals: list = field(default_factory=list)
-    lp_min_entries: list = field(default_factory=list)
     lp_iterations: list = field(default_factory=list)
     lp_marginal_errors: list = field(default_factory=list)
     final_gap: float = np.nan
     wall_time: float = 0.0
 
-    def record_feasibility(self, C, a, b, lp=False):
-        rows = float(np.abs(C.sum(axis=1) - a).max())
-        cols = float(np.abs(C.sum(axis=0) - b).max())
-        low = float(C.min())
-        if lp:
-            self.lp_row_residuals.append(rows)
-            self.lp_col_residuals.append(cols)
-            self.lp_min_entries.append(low)
-        else:
-            self.row_residuals.append(rows)
-            self.col_residuals.append(cols)
-            self.min_entries.append(low)
+    def record_feasibility(self, C, a, b):
+        self.row_residuals.append(float(np.abs(C.sum(axis=1) - a).max()))
+        self.col_residuals.append(float(np.abs(C.sum(axis=0) - b).max()))
+        self.min_entries.append(float(C.min()))
 
     def as_dict(self):
         return {
@@ -275,9 +261,6 @@ class CgDiagnostics:
             "row_residuals": list(self.row_residuals),
             "col_residuals": list(self.col_residuals),
             "min_entries": list(self.min_entries),
-            "lp_row_residuals": list(self.lp_row_residuals),
-            "lp_col_residuals": list(self.lp_col_residuals),
-            "lp_min_entries": list(self.lp_min_entries),
             "lp_iterations": list(self.lp_iterations),
             "lp_marginal_errors": list(self.lp_marginal_errors),
             "final_gap": self.final_gap,
@@ -285,19 +268,19 @@ class CgDiagnostics:
         }
 
 
-def cg_solve(ctx, weights, C0=None, cg_iters=20, admm_iters=300):
-    """Frank-Wolfe with step 2/(t+2) over the matching polytope.
+def cg_solve(ctx, weights, cg_iters=20, admm_iters=300):
+    """Frank-Wolfe with step 2/(t+2) over the matching polytope, from the
+    uniform feasible point.
 
-    Returns (C, CgDiagnostics). C0 defaults to the uniform feasible point.
-    Each oracle call runs at most admm_iters Sinkhorn iterations (the name
-    predates the Sinkhorn oracle) and starts from the previous call's column
-    potential (successive gradients are close, so the potential remains a
-    good guess).
+    Returns (C, CgDiagnostics). Each oracle call runs at most admm_iters
+    Sinkhorn iterations (the name predates the Sinkhorn oracle) and starts
+    from the previous call's column potential (successive gradients are
+    close, so the potential remains a good guess).
     """
     if cg_iters < 1 or admm_iters < 1:
         raise ValueError("iteration counts must be >= 1")
     a, b = marginals(ctx.ns, ctx.nt)
-    C = uniform_matching(ctx.ns, ctx.nt) if C0 is None else np.array(C0, dtype=float)
+    C = uniform_matching(ctx.ns, ctx.nt)
     diag = CgDiagnostics()
     diag.record_feasibility(C, a, b)
     g = None
@@ -320,7 +303,6 @@ def cg_solve(ctx, weights, C0=None, cg_iters=20, admm_iters=300):
         C_d, gap = certified_gap(G, t_i)
         diag.objective_trace.append(value)
         diag.gap_trace.append(gap)
-        diag.record_feasibility(C_d, a, b, lp=True)
         alpha = 2.0 / (t_i + 2.0)
         C = C + alpha * (C_d - C)
         diag.record_feasibility(C, a, b)

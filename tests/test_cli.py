@@ -155,13 +155,22 @@ class TestBenchmarkCommand:
             assert re.findall(r"toy: trial (\d+)/2 done", err) == ["1", "2"]
         assert len(package_logger.handlers) == 1
 
-    @pytest.mark.parametrize("config, message", [
-        ({"cg_iterz": 3}, "unknown config keys ['cg_iterz']"),
-        ({"admm_iters": 0}, "admm_iters must be >= 1"),
-    ], ids=["unknown-key", "zero-admm-iters"])
-    def test_bad_config_is_exit_one(self, task_files, tmp_path, capsys, config, message):
-        # rejected while the spec is read, before any task runs
-        doc = {"trials": 1, "config": config, "tasks": [dict(name="toy", **task_files)]}
+    @pytest.mark.parametrize("extra, message", [
+        ({"config": {"cg_iterz": 3}}, "unknown config keys ['cg_iterz']"),
+        ({"config": {"admm_iters": 0}}, "admm_iters must be >= 1"),
+        ({"eta": 0.5, "config": {"ap": {"damping": 0.9}}}, "unknown config keys ['ap']"),
+        ({"eta": "0.5"}, "'eta'"),
+        ({"trials": None}, "'trials'"),
+        ({"lambda2_grid": 5}, "'lambda2_grid'"),
+        ({"config": {"t_per_node": "5"}}, "'t_per_node'"),
+        ({"config": {"cg_iters": 2.5}}, "'cg_iters'"),
+        ({"config": {"lam2": True}}, "'lam2'"),
+    ], ids=["unknown-key", "zero-admm-iters", "ap", "str-eta", "null-trials", "scalar-grid",
+            "str-int", "float-int", "bool-float"])
+    def test_bad_config_is_exit_one(self, task_files, tmp_path, capsys, extra, message):
+        # rejected while the spec is read, before any task runs, as an input
+        # error that names the key rather than a traceback
+        doc = {"trials": 1, "tasks": [dict(name="toy", **task_files)], **extra}
         spec_path = tmp_path / "bench.json"
         spec_path.write_text(json.dumps(doc))
         out = tmp_path / "results.csv"
@@ -169,6 +178,7 @@ class TestBenchmarkCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_missing_spec_is_exit_one(self, tmp_path, capsys):

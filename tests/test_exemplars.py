@@ -4,7 +4,7 @@ import pytest
 from hgmda import exemplars
 from hgmda.data import pairwise_sq_dists
 from hgmda.exemplars import (
-    APConfig,
+    BISECT_STEPS,
     affinity_propagation,
     select_exemplars,
     similarity_matrix,
@@ -121,7 +121,7 @@ class TestSelectExemplars:
         X = np.random.default_rng(1).normal(size=(30, 4))
         got = select_exemplars(X, 0.3)
         # two bracket runs, then bisection steps up to the budget
-        assert 1 <= got.ap_runs <= 2 + APConfig().bisect_steps
+        assert 1 <= got.ap_runs <= 2 + BISECT_STEPS
         ex, converged = affinity_propagation(similarity_matrix(X, got.preference))
         assert np.array_equal(np.sort(ex), got.indices)
         assert converged == got.converged
@@ -141,9 +141,9 @@ class TestSelectExemplars:
         # already gives too many, so no bisection step runs
         calls = []
 
-        def counted(S, cfg=APConfig()):
+        def counted(S):
             calls.append(1)
-            return affinity_propagation(S, cfg)
+            return affinity_propagation(S)
 
         monkeypatch.setattr(exemplars, "affinity_propagation", counted)
         got = select_exemplars(cluster_data(), 1.0 / 30.0)
@@ -161,12 +161,3 @@ class TestSelectExemplars:
         with pytest.raises(ValueError):
             select_exemplars(np.zeros((3, 1)), 1.5)
 
-
-class TestAPConfig:
-    def test_rejects_bad_damping(self):
-        with pytest.raises(ValueError):
-            APConfig(damping=1.0)
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            APConfig(max_iters=0)

@@ -149,7 +149,8 @@ class TestAdaptLoop:
             assert r["wall_time"] > 0.0
             assert r["n_source_exemplars"] == src.n
             assert r["tensor_entries"] == 0
-            assert len(r["solver"]["lp_row_residuals"]) == cfg.cg_iters
+            # one oracle call per Frank-Wolfe step, plus the final gap call
+            assert len(r["solver"]["lp_iterations"]) == cfg.cg_iters + 1
 
     def test_stage_times_and_exemplar_records(self):
         src, Xt = blob_pair()
@@ -279,6 +280,18 @@ class TestAdaptLoop:
         target = np.random.default_rng(0).normal(size=(5, 2))
         with pytest.raises(ValueError, match="at least 3 exemplars"):
             adapt(src, target, AdaptationConfig())
+
+    def test_collapsed_source_names_the_round(self, monkeypatch):
+        # a round-1 map that sends every source point to the origin leaves
+        # round 2 no bandwidth to build the source graph with
+        def collapse(inputs, targets, mu):
+            d = np.shape(inputs)[1]
+            return LinearMap(W=np.zeros((d, d)), bias=np.zeros(d))
+
+        monkeypatch.setattr(pipeline, "fit_ridge_mapping", collapse)
+        src, Xt = blob_pair()
+        with pytest.raises(ValueError, match="round 2: source exemplars: degenerate: zero bandwidth"):
+            adapt(src, Xt, AdaptationConfig(eta=1.0, n_outer=2, cg_iters=2))
 
     def test_feature_dimension_mismatch(self):
         src, _ = blob_pair()

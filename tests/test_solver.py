@@ -287,25 +287,22 @@ class TestCgSolve:
                 Dt=adjacency_matrix(Xt, sigma_heuristic(Xt)),
             )
             _, diag = cg_solve(ctx, ObjectiveWeights(lam2=lam2), cg_iters=25, admm_iters=1000)
-            assert max(diag.lp_row_residuals) <= 1e-3
-            assert max(diag.lp_col_residuals) <= 1e-3
             assert max(diag.row_residuals) <= 1e-3
             assert max(diag.col_residuals) <= 1e-3
             assert min(diag.min_entries) >= -1e-4
 
-    def test_iterate_residual_never_exceeds_lp_residual(self):
-        # convex-combination closure: from an exactly feasible start, an
-        # iterate can only be as infeasible as the worst oracle output it
-        # mixes in, even at an iteration cap the oracle cannot finish within
+    @pytest.mark.parametrize("cap", [1, 150])
+    def test_iterates_exactly_feasible_at_any_oracle_cap(self, cap):
+        # every oracle plan is rounded onto the polytope, so the iterates
+        # stay feasible to rounding even when the oracle stops after one
+        # Sinkhorn iteration
         rng = np.random.default_rng(99)
         for _ in range(10):
             ctx = convex_context(rng)
             lam2 = float(rng.uniform(0.0, 0.5))
-            _, diag = cg_solve(ctx, ObjectiveWeights(lam2=lam2), cg_iters=25, admm_iters=150)
-            lp_worst_row = max(diag.lp_row_residuals)
-            lp_worst_col = max(diag.lp_col_residuals)
-            assert max(diag.row_residuals) <= lp_worst_row + 1e-12
-            assert max(diag.col_residuals) <= lp_worst_col + 1e-12
+            _, diag = cg_solve(ctx, ObjectiveWeights(lam2=lam2), cg_iters=25, admm_iters=cap)
+            assert max(diag.row_residuals) <= 1e-12
+            assert max(diag.col_residuals) <= 1e-12
             assert min(diag.min_entries) >= -1e-15
 
     def test_gap_non_negative_on_convex_runs(self):
@@ -331,7 +328,6 @@ class TestCgSolve:
         assert len(diag.objective_trace) == 5
         assert len(diag.gap_trace) == 5
         assert len(diag.row_residuals) == 5
-        assert len(diag.lp_row_residuals) == 4
         assert len(diag.lp_iterations) == 5
         assert len(diag.lp_marginal_errors) == 5
         assert diag.final_gap == diag.gap_trace[-1]
@@ -339,8 +335,7 @@ class TestCgSolve:
         d = diag.as_dict()
         assert set(d) == {
             "objective_trace", "gap_trace", "row_residuals", "col_residuals",
-            "min_entries", "lp_row_residuals", "lp_col_residuals",
-            "lp_min_entries", "lp_iterations", "lp_marginal_errors",
+            "min_entries", "lp_iterations", "lp_marginal_errors",
             "final_gap", "wall_time",
         }
 
