@@ -30,6 +30,20 @@ from .pipeline import AdaptationConfig, adapt
 from .solver import admm_lp
 
 
+# each adapt flag sets the AdaptationConfig field it names and defaults to
+# that field's default
+_ADAPT_FLAGS = {
+    "--eta": "eta",
+    "--lambda2": "lam2",
+    "--lambda3": "lam3",
+    "--lambdag": "lam_g",
+    "--nt-outer": "n_outer",
+    "--cg-iters": "cg_iters",
+    "--admm-iters": "admm_iters",
+    "--seed": "seed",
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hgmda",
@@ -41,15 +55,11 @@ def _build_parser():
     p_adapt.add_argument("--source-features", required=True)
     p_adapt.add_argument("--source-labels", required=True)
     p_adapt.add_argument("--target-features", required=True)
-    p_adapt.add_argument("--eta", type=float, default=1.0)
-    p_adapt.add_argument("--lambda2", type=float, default=0.01)
-    p_adapt.add_argument("--lambda3", type=float, default=0.0)
-    p_adapt.add_argument("--lambdag", type=float, default=0.01)
-    p_adapt.add_argument("--nt-outer", type=int, default=1)
-    p_adapt.add_argument("--cg-iters", type=int, default=20)
-    p_adapt.add_argument("--admm-iters", type=int, default=300,
-                         help="iteration cap of each Frank-Wolfe oracle call")
-    p_adapt.add_argument("--seed", type=int, default=0)
+    defaults = AdaptationConfig()
+    for flag, name in _ADAPT_FLAGS.items():
+        default = getattr(defaults, name)
+        p_adapt.add_argument(flag, dest=name, type=type(default), default=default,
+                             help=f"AdaptationConfig.{name} (default: %(default)s)")
     p_adapt.add_argument("--out", required=True, help="output directory")
 
     p_eval = sub.add_parser("evaluate", help="1-NN predictions and accuracy")
@@ -74,16 +84,7 @@ def _build_parser():
 def _cmd_adapt(args):
     source = load_dataset(args.source_features, args.source_labels)
     target = load_features(args.target_features)
-    cfg = AdaptationConfig(
-        eta=args.eta,
-        lam2=args.lambda2,
-        lam3=args.lambda3,
-        lam_g=args.lambdag,
-        n_outer=args.nt_outer,
-        cg_iters=args.cg_iters,
-        admm_iters=args.admm_iters,
-        seed=args.seed,
-    )
+    cfg = AdaptationConfig(**{name: getattr(args, name) for name in _ADAPT_FLAGS.values()})
     result = adapt(source, target, cfg)
     os.makedirs(args.out, exist_ok=True)
     write_features(os.path.join(args.out, "adapted.csv"), result.adapted)

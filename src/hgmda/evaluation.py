@@ -238,39 +238,59 @@ def load_benchmark_file(path):
     Top-level keys: seed, trials, target_fraction, per_class, eta, lambda_g,
     lambda2_grid, lambda3_grid, n_outer_grid, config (AdaptationConfig
     overrides), tasks (list). Each task needs name and the four dataset
-    paths; per_class defaults to 8 when the source features path mentions
-    "dslr", else the global default.
+    paths and may set its own per_class; without one, a task whose source
+    features path mentions "dslr" takes 8. A key the file leaves out keeps
+    the ExperimentSpec or AdaptationConfig default. A value of the wrong
+    JSON type, and a grid value that AdaptationConfig rejects, raise a
+    ValueError naming the key before any task runs.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "tasks" not in doc or not doc["tasks"]:
+    if not isinstance(doc, dict) or not doc.get("tasks"):
         raise ValueError(f"{path}: benchmark file lists no tasks")
 
-    def top(key, convert, default):
-        try:
-            return convert(doc[key]) if key in doc else default
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad value for {key!r}: {exc}") from None
+    nouns = {int: "an integer", float: "a number", list: "a list", dict: "an object"}
 
-    cfg_kwargs = top("config", dict, {})
-    cfg_fields = {f.name: f for f in fields(AdaptationConfig)}
-    unknown = sorted(set(cfg_kwargs) - set(cfg_fields))
+    def need(key, value, kind):
+        # a float setting also takes a JSON integer; true and false are no number
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ValueError(f"{path}: {key!r} needs {nouns[kind]}, got {value!r}")
+        return value
+
+    cfg_kwargs = dict(need("config", doc.get("config", {}), dict))
+    kinds = {f.name: type(f.default) for f in fields(AdaptationConfig)}
+    unknown = sorted(set(cfg_kwargs) - set(kinds))
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
-    if "eta" in doc:
-        cfg_kwargs.setdefault("eta", doc["eta"])
-    if "lambda_g" in doc:
-        cfg_kwargs.setdefault("lam_g", doc["lambda_g"])
-    for key, value in cfg_kwargs.items():
-        # each field has its default's type; a float field also takes an int
-        kind = type(cfg_fields[key].default)
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
-            raise ValueError(f"{path}: config key {key!r} needs a {kind.__name__}, got {value!r}")
+    for name, value in cfg_kwargs.items():
+        need(name, value, kinds[name])
+    for key, name in (("eta", "eta"), ("lambda_g", "lam_g")):
+        if key in doc:
+            cfg_kwargs.setdefault(name, need(key, doc[key], kinds[name]))
     base_cfg = AdaptationConfig(**cfg_kwargs)
+    seed = need("seed", doc.get("seed", 0), int)
 
-    default_quota = top("per_class", int, 20)
+    protocol = {}  # the ExperimentSpec settings the file gives
+    for key, kind in (("trials", int), ("target_fraction", float), ("per_class", int)):
+        if key in doc:
+            protocol[key] = need(key, doc[key], kind)
+    for key, name in (("lambda2_grid", "lam2"), ("lambda3_grid", "lam3"), ("n_outer_grid", "n_outer")):
+        if key not in doc:
+            continue
+        for value in need(key, doc[key], list):
+            need(key, value, kinds[name])
+            # AdaptationConfig checks each field on its own, so a grid value
+            # that passes here passes in every combo
+            try:
+                replace(base_cfg, **{name: value})
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad value in {key!r}: {exc}") from None
+        protocol[f"{name}_grid"] = tuple(doc[key])
+
     specs = []
-    for task in doc["tasks"]:
+    for index, task in enumerate(need("tasks", doc["tasks"], list)):
+        if not isinstance(task, dict):
+            raise ValueError(f"{path}: each task needs an object, got {task!r}")
         missing = [
             key
             for key in ("name", "source_features", "source_labels", "target_features", "target_labels")
@@ -278,10 +298,11 @@ def load_benchmark_file(path):
         ]
         if missing:
             raise ValueError(f"{path}: task missing keys {missing}")
-        quota = task.get("per_class")
-        if quota is None:
-            is_dslr = "dslr" in str(task["source_features"]).lower()
-            quota = 8 if is_dslr else default_quota
+        quota = {}
+        if "per_class" in task:
+            quota["per_class"] = need(f"tasks[{index}].per_class", task["per_class"], int)
+        elif "dslr" in str(task["source_features"]).lower():
+            quota["per_class"] = 8  # that domain is small
         specs.append(
             ExperimentSpec(
                 name=task["name"],
@@ -289,13 +310,8 @@ def load_benchmark_file(path):
                 source_labels=task["source_labels"],
                 target_features=task["target_features"],
                 target_labels=task["target_labels"],
-                per_class=int(quota),
-                target_fraction=top("target_fraction", float, 0.5),
-                trials=top("trials", int, 10),
                 config=base_cfg,
-                lam2_grid=top("lambda2_grid", tuple, None),
-                lam3_grid=top("lambda3_grid", tuple, None),
-                n_outer_grid=top("n_outer_grid", tuple, None),
+                **{**protocol, **quota},
             )
         )
-    return specs, top("seed", int, 0)
+    return specs, seed

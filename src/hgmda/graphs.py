@@ -13,6 +13,10 @@ differ (a source triangle has three distinct vertices). So each unordered
 triangle pair is stored once, with its pair indices in ascending order, and
 the contraction in objective.f3_and_grad scales by 6 for the other five
 permutations.
+
+The sample sizes are fixed parts of the method: T_PER_NODE source triangles
+through each source node, a pool of POOL_FACTOR * n_t target triangles, and
+the KNN nearest pool triangles kept per source triangle.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .data import pairwise_sq_dists
+
+T_PER_NODE = 50
+KNN = 300
+POOL_FACTOR = 20
 
 
 def sigma_heuristic(X):
@@ -147,7 +155,7 @@ def _nearest_columns(d2, k):
 
 
 def build_sparse_tensor(
-    Xs, Xt, t_per_node=50, knn=300, pool_factor=20, seed=0, exhaustive=False
+    Xs, Xt, t_per_node=T_PER_NODE, knn=KNN, pool_factor=POOL_FACTOR, seed=0, exhaustive=False
 ):
     """Sample triangle correspondences and store their similarity values.
 

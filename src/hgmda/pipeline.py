@@ -32,6 +32,9 @@ from .solver import cg_solve
 # a round whose matching exceeds it is recorded as infeasible and warned about
 FEASIBILITY_TOL = 1e-3
 
+# the l2 penalty of each round's ridge fit
+RIDGE_MU = 1e-3
+
 
 @dataclass(frozen=True)
 class AdaptationConfig:
@@ -42,10 +45,6 @@ class AdaptationConfig:
     n_outer: int = 1
     cg_iters: int = 20
     admm_iters: int = 300
-    t_per_node: int = 50
-    knn: int = 300
-    pool_factor: int = 20
-    ridge_mu: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class AdaptationConfig:
             raise ValueError("n_outer must be >= 1")
         if self.cg_iters < 1 or self.admm_iters < 1:
             raise ValueError("cg_iters and admm_iters must be >= 1")
-        if self.ridge_mu <= 0.0:
-            raise ValueError("ridge_mu must be positive")
         if min(self.lam2, self.lam3, self.lam_g) < 0.0:
             raise ValueError("weights must be non-negative")
 
@@ -168,17 +165,6 @@ def _timed(times, stage):
         times[stage] += time.perf_counter() - start
 
 
-def _tensor(src_ex, tgt_ex, cfg, round_index):
-    return build_sparse_tensor(
-        src_ex.features,
-        tgt_ex.features,
-        t_per_node=cfg.t_per_node,
-        knn=cfg.knn,
-        pool_factor=cfg.pool_factor,
-        seed=_round_seed(cfg.seed, round_index),
-    )
-
-
 def _outer_round(source, target, current, trial, cfg, round_index):
     """One round: match the current source exemplars to the target
     exemplars and map the whole current source through the ridge fit.
@@ -226,7 +212,12 @@ def _outer_round(source, target, current, trial, cfg, round_index):
     tensor = None
     if cfg.lam3 > 0.0:
         with _timed(times, "tensor"):
-            tensor = round_input("tensor", lambda: _tensor(src_ex, tgt_ex, cfg, round_index))
+            tensor = round_input(
+                "tensor",
+                lambda: build_sparse_tensor(
+                    src_ex.features, tgt_ex.features, seed=_round_seed(cfg.seed, round_index)
+                ),
+            )
     groups = None
     if cfg.lam_g > 0.0:
         groups = class_index_sets(src_ex.labels, source.num_classes)
@@ -248,7 +239,7 @@ def _outer_round(source, target, current, trial, cfg, round_index):
         )
     with _timed(times, "ridge"):
         matched = C_star @ tgt_ex.features
-        mapping = fit_ridge_mapping(src_ex.features, matched, cfg.ridge_mu)
+        mapping = fit_ridge_mapping(src_ex.features, matched, RIDGE_MU)
         current = mapping.apply(current)
     if not np.all(np.isfinite(current)):
         raise NonFiniteError(f"round {round_index}: adapted features non-finite")

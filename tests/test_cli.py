@@ -162,15 +162,32 @@ class TestBenchmarkCommand:
         ({"eta": "0.5"}, "'eta'"),
         ({"trials": None}, "'trials'"),
         ({"lambda2_grid": 5}, "'lambda2_grid'"),
-        ({"config": {"t_per_node": "5"}}, "'t_per_node'"),
+        ({"config": {"n_outer": "5"}}, "'n_outer'"),
         ({"config": {"cg_iters": 2.5}}, "'cg_iters'"),
         ({"config": {"lam2": True}}, "'lam2'"),
+        ({"config": {"t_per_node": 5}}, "unknown config keys ['t_per_node']"),
+        ({"config": {"knn": 5}}, "unknown config keys ['knn']"),
+        ({"config": {"pool_factor": 5}}, "unknown config keys ['pool_factor']"),
+        ({"config": {"ridge_mu": 0.1}}, "unknown config keys ['ridge_mu']"),
+        ({"trials": 2.9}, "'trials'"),
+        ({"per_class": 7.9}, "'per_class'"),
+        ({"seed": 1.5}, "'seed'"),
+        ({"trials": "3"}, "'trials'"),
+        ({"lambda2_grid": ["a"]}, "'lambda2_grid'"),
+        ({"n_outer_grid": [2.5]}, "'n_outer_grid'"),
+        ({"lambda3_grid": [-1]}, "'lambda3_grid'"),
+        ({"task_per_class": [1]}, "per_class"),
     ], ids=["unknown-key", "zero-admm-iters", "ap", "str-eta", "null-trials", "scalar-grid",
-            "str-int", "float-int", "bool-float"])
+            "str-int", "float-int", "bool-float", "t-per-node", "knn", "pool-factor",
+            "ridge-mu", "float-trials", "float-per-class", "float-seed", "str-trials",
+            "str-grid", "float-grid", "negative-grid", "list-task-per-class"])
     def test_bad_config_is_exit_one(self, task_files, tmp_path, capsys, extra, message):
         # rejected while the spec is read, before any task runs, as an input
         # error that names the key rather than a traceback
-        doc = {"trials": 1, "tasks": [dict(name="toy", **task_files)], **extra}
+        task = dict(name="toy", **task_files)
+        if "task_per_class" in extra:
+            task["per_class"] = extra.pop("task_per_class")
+        doc = {"trials": 1, "tasks": [task], **extra}
         spec_path = tmp_path / "bench.json"
         spec_path.write_text(json.dumps(doc))
         out = tmp_path / "results.csv"

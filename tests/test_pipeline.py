@@ -100,10 +100,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AdaptationConfig(n_outer=0)
 
-    def test_ridge_mu_positive(self):
-        with pytest.raises(ValueError):
-            AdaptationConfig(ridge_mu=0.0)
-
     @pytest.mark.parametrize("field", ["cg_iters", "admm_iters"])
     def test_iteration_counts_positive(self, field):
         with pytest.raises(ValueError, match="must be >= 1"):
@@ -134,7 +130,7 @@ class TestAdaptLoop:
         res = adapt(src, Xt, cfg)
         matched = res.matching @ Xt[res.target_exemplars]
         mapping = fit_ridge_mapping(
-            src.features[res.source_exemplars], matched, cfg.ridge_mu
+            src.features[res.source_exemplars], matched, pipeline.RIDGE_MU
         )
         assert np.allclose(res.adapted, mapping.apply(src.features), atol=1e-10)
 
@@ -155,8 +151,7 @@ class TestAdaptLoop:
     def test_stage_times_and_exemplar_records(self):
         src, Xt = blob_pair()
         cfg = AdaptationConfig(
-            eta=0.5, lam2=0.01, lam3=0.1, lam_g=0.01, n_outer=2, cg_iters=5,
-            t_per_node=10, knn=11, pool_factor=5, seed=5,
+            eta=0.5, lam2=0.01, lam3=0.1, lam_g=0.01, n_outer=2, cg_iters=5, seed=5,
         )
         res = adapt(src, Xt, cfg)
         for r in res.rounds:
@@ -264,8 +259,7 @@ class TestAdaptLoop:
     def test_third_order_term_builds_tensor(self):
         src, Xt = blob_pair()
         cfg = AdaptationConfig(
-            eta=1.0, lam2=0.01, lam3=0.1, lam_g=0.01, cg_iters=10, admm_iters=800,
-            t_per_node=10, knn=11, pool_factor=5, seed=5,
+            eta=1.0, lam2=0.01, lam3=0.1, lam_g=0.01, cg_iters=10, admm_iters=800, seed=5,
         )
         res = adapt(src, Xt, cfg)
         assert res.rounds[0]["tensor_entries"] > 0
