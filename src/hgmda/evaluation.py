@@ -232,6 +232,13 @@ def benchmark_table(rows):
     return buffer.getvalue(), "\n".join(pretty) + "\n"
 
 
+_SPEC_KEYS = (
+    "seed", "trials", "target_fraction", "per_class", "eta", "lambda_g",
+    "lambda2_grid", "lambda3_grid", "n_outer_grid", "config", "tasks",
+)
+_TASK_PATH_KEYS = ("name", "source_features", "source_labels", "target_features", "target_labels")
+
+
 def load_benchmark_file(path):
     """Parse a JSON benchmark description into (specs, seed).
 
@@ -240,14 +247,18 @@ def load_benchmark_file(path):
     overrides), tasks (list). Each task needs name and the four dataset
     paths and may set its own per_class; without one, a task whose source
     features path mentions "dslr" takes 8. A key the file leaves out keeps
-    the ExperimentSpec or AdaptationConfig default. A value of the wrong
-    JSON type, and a grid value that AdaptationConfig rejects, raise a
-    ValueError naming the key before any task runs.
+    the ExperimentSpec or AdaptationConfig default. An unknown key (at the
+    top level, in config or in a task), a value of the wrong JSON type, and
+    a grid value that AdaptationConfig rejects raise a ValueError naming the
+    key before any task runs.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not doc.get("tasks"):
         raise ValueError(f"{path}: benchmark file lists no tasks")
+    unknown = sorted(set(doc) - set(_SPEC_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {unknown}")
 
     nouns = {int: "an integer", float: "a number", list: "a list", dict: "an object"}
 
@@ -291,13 +302,12 @@ def load_benchmark_file(path):
     for index, task in enumerate(need("tasks", doc["tasks"], list)):
         if not isinstance(task, dict):
             raise ValueError(f"{path}: each task needs an object, got {task!r}")
-        missing = [
-            key
-            for key in ("name", "source_features", "source_labels", "target_features", "target_labels")
-            if key not in task
-        ]
+        missing = [key for key in _TASK_PATH_KEYS if key not in task]
         if missing:
             raise ValueError(f"{path}: task missing keys {missing}")
+        unknown = sorted(set(task) - {*_TASK_PATH_KEYS, "per_class"})
+        if unknown:
+            raise ValueError(f"{path}: tasks[{index}]: unknown keys {unknown}")
         quota = {}
         if "per_class" in task:
             quota["per_class"] = need(f"tasks[{index}].per_class", task["per_class"], int)

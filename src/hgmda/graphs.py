@@ -16,12 +16,17 @@ permutations.
 
 The sample sizes are fixed parts of the method: T_PER_NODE source triangles
 through each source node, a pool of POOL_FACTOR * n_t target triangles, and
-the KNN nearest pool triangles kept per source triangle.
+the KNN nearest pool triangles kept per source triangle. The triangles are
+drawn one at a time, on purpose: drawing them in one call would change the
+RNG stream and so the tensor. Their features are then computed in one
+vectorised pass over all sampled triangles, in blocks of FEATURE_BLOCK
+gathered floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -31,6 +36,8 @@ from .data import pairwise_sq_dists
 T_PER_NODE = 50
 KNN = 300
 POOL_FACTOR = 20
+# floats gathered per triangle vertex in one block of the feature pass
+FEATURE_BLOCK = 1 << 16
 
 
 def sigma_heuristic(X):
@@ -56,30 +63,38 @@ def adjacency_matrix(X, sigma):
     return D
 
 
+def _triangle_sines(A, B, C):
+    """Sines of the interior angles of the triangles (A[r], B[r], C[r]), one
+    row of points per triangle, and the mask of triangles whose three points
+    are distinct. Only the masked triangles get a row of sines.
+
+    Uses sin(angle) = 2 * area / (product of adjacent sides), with the
+    squared area from the Gram determinant so points may live in any
+    dimension; collinear triangles give (0, 0, 0).
+    """
+    ab = B - A
+    ac = C - A
+    bc = C - B
+    lab = np.einsum("ij,ij->i", ab, ab)
+    lac = np.einsum("ij,ij->i", ac, ac)
+    lbc = np.einsum("ij,ij->i", bc, bc)
+    dot = np.einsum("ij,ij->i", ab, ac)
+    keep = (lab > 0.0) & (lac > 0.0) & (lbc > 0.0)
+    lab, lac, lbc, dot = lab[keep], lac[keep], lbc[keep], dot[keep]
+    twice_area = np.sqrt(np.maximum(lab * lac - dot * dot, 0.0))
+    sines = twice_area[:, None] / np.sqrt(np.column_stack((lab * lac, lab * lbc, lac * lbc)))
+    return np.minimum(sines, 1.0, out=sines), keep
+
+
 def triangle_feature(a, b, c):
     """Sines of the interior angles at vertices a, b, c.
 
-    Collinear triples give (0, 0, 0); coincident points are rejected. Uses
-    sin(angle) = 2 * area / (product of adjacent sides), with the squared
-    area from the Gram determinant so points may live in any dimension.
+    Collinear triples give (0, 0, 0); coincident points are rejected.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    ab = b - a
-    ac = c - a
-    bc = c - b
-    lab = ab @ ab
-    lac = ac @ ac
-    lbc = bc @ bc
-    if lab == 0.0 or lac == 0.0 or lbc == 0.0:
+    sines, keep = _triangle_sines(*(np.asarray(p, dtype=float)[None] for p in (a, b, c)))
+    if not keep[0]:
         raise ValueError("coincident points have no triangle feature")
-    area2 = lab * lac - (ab @ ac) ** 2
-    if area2 <= 0.0:
-        return np.zeros(3)
-    twice_area = np.sqrt(area2)
-    sines = twice_area / np.sqrt([lab * lac, lab * lbc, lac * lbc])
-    return np.minimum(sines, 1.0)
+    return sines[0]
 
 
 @dataclass(frozen=True)
@@ -105,6 +120,13 @@ class SparseTensor3:
     def m(self):
         return len(self.values)
 
+    @cached_property
+    def p1_runs(self):
+        """(starts, ids): where each run of equal p1 begins in the stored
+        order, and that run's p1. Computed once per tensor."""
+        starts = np.flatnonzero(np.concatenate(([True], self.p1[1:] != self.p1[:-1])))
+        return starts, self.p1[starts]
+
 
 def _sample_triples(rng, n, count, anchor=None):
     """Sample index triples (anchored at a fixed first vertex if given)."""
@@ -121,15 +143,21 @@ def _sample_triples(rng, n, count, anchor=None):
 
 def _features_for(X, triples):
     """Triangle features for each triple; coincident-point triples are
-    dropped."""
+    dropped.
+
+    The triples are taken in blocks of about FEATURE_BLOCK gathered floats
+    per vertex, so the gathered points stay small at any dimension.
+    """
+    rows = max(1, FEATURE_BLOCK // X.shape[1])
     feats = np.empty((len(triples), 3))
-    keep = np.ones(len(triples), dtype=bool)
-    for row, (i, j, k) in enumerate(triples):
-        try:
-            feats[row] = triangle_feature(X[i], X[j], X[k])
-        except ValueError:
-            keep[row] = False
-    return triples[keep], feats[keep]
+    keep = np.empty(len(triples), dtype=bool)
+    kept = 0
+    for start in range(0, len(triples), rows):
+        block = triples[start : start + rows]
+        sines, keep[start : start + len(block)] = _triangle_sines(*(X[block[:, s]] for s in range(3)))
+        feats[kept : kept + len(sines)] = sines
+        kept += len(sines)
+    return triples[keep], feats[:kept]
 
 
 def _nearest_columns(d2, k):
@@ -224,17 +252,28 @@ def build_sparse_tensor(
     mean_sq = float(cand_d2.mean())
     gamma = 1.0 if mean_sq == 0.0 else 1.0 / mean_sq
 
-    # one entry per unordered triangle pair; the first sampled copy wins
-    # (re-sampled pairs can differ in the last float bits), and np.unique
-    # leaves the entries sorted by their key
-    unique_keys, keep = np.unique(keys, return_index=True)
-    p12, p3 = np.divmod(unique_keys, N)
-    p1, p2 = np.divmod(p12, N)
+    # one entry per unordered triangle pair, sorted by key. The first
+    # sampled copy wins (re-sampled pairs can differ in the last float
+    # bits): the lowest candidate index in each run of equal sorted keys.
+    # Each index array is dropped or overwritten once used, so the peak
+    # holds five candidate-sized arrays
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    keep = np.minimum.reduceat(order, first)
+    del order
+    unique_keys = keys[first]
+    del keys, first
+    values = cand_d2[keep]
+    del cand_d2, keep
+    values *= -gamma
+    p12, p3 = np.divmod(unique_keys, N, out=(unique_keys, None))
+    p1, p2 = np.divmod(p12, N, out=(None, p12))
     return SparseTensor3(
         p1=p1,
         p2=p2,
         p3=p3,
-        values=np.exp(-gamma * cand_d2[keep]),
+        values=np.exp(values, out=values),
         gamma=gamma,
         ns=ns,
         nt=nt,

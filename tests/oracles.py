@@ -3,11 +3,15 @@
 Everything here is written independently of the package internals and favors
 brute force over speed: exhaustive enumeration, dense tensors, generic
 projection methods. Tests compare package output against these. There are
-two exceptions. reference_admm_lp takes the package's working gradient
+exceptions. reference_admm_lp takes the package's working gradient
 magnitude and stopping constants so that the two can be compared sweep for
 sweep. reference_build_sparse_tensor, the package's earlier full-sort
-tensor build, shares its triangle sampling and tensor container so that the
-two can be compared bit for bit.
+tensor build, shares its triangle sampling, triangle features and tensor
+container so that the two can be compared bit for bit. The package's
+earlier per-triangle features (reference_triangle_feature,
+reference_features_for) and three-bincount f3 contraction
+(reference_f3_and_grad) are kept verbatim as references for the
+vectorised forms that replaced them.
 """
 
 import itertools
@@ -188,7 +192,10 @@ def reference_build_sparse_tensor(
     each source triangle's nearest target triangles by partial selection:
     a full stable argsort of every distance row, and the candidate pair
     indices kept as an (m, 3) array. The package's build must return the
-    same entries, values and gamma bit for bit.
+    same entries, values and gamma bit for bit. It computes the triangle
+    features with the package's own _features_for, so the bit-for-bit
+    comparison checks the nearest-triangle selection and the dedup; the
+    features themselves are checked against reference_features_for.
 
     Sample triangle correspondences and store their similarity values.
 
@@ -270,3 +277,75 @@ def reference_build_sparse_tensor(
         ns=ns,
         nt=nt,
     )
+
+
+def reference_triangle_feature(a, b, c):
+    """The package's earlier triangle_feature, one triangle at a time.
+
+    Sines of the interior angles at vertices a, b, c.
+
+    Collinear triples give (0, 0, 0); coincident points are rejected. Uses
+    sin(angle) = 2 * area / (product of adjacent sides), with the squared
+    area from the Gram determinant so points may live in any dimension.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    ab = b - a
+    ac = c - a
+    bc = c - b
+    lab = ab @ ab
+    lac = ac @ ac
+    lbc = bc @ bc
+    if lab == 0.0 or lac == 0.0 or lbc == 0.0:
+        raise ValueError("coincident points have no triangle feature")
+    area2 = lab * lac - (ab @ ac) ** 2
+    if area2 <= 0.0:
+        return np.zeros(3)
+    twice_area = np.sqrt(area2)
+    sines = twice_area / np.sqrt([lab * lac, lab * lbc, lac * lbc])
+    return np.minimum(sines, 1.0)
+
+
+def reference_features_for(X, triples):
+    """The package's earlier _features_for, a Python loop over triangles.
+
+    Triangle features for each triple; coincident-point triples are
+    dropped.
+    """
+    feats = np.empty((len(triples), 3))
+    keep = np.ones(len(triples), dtype=bool)
+    for row, (i, j, k) in enumerate(triples):
+        try:
+            feats[row] = reference_triangle_feature(X[i], X[j], X[k])
+        except ValueError:
+            keep[row] = False
+    return triples[keep], feats[keep]
+
+
+def reference_f3_and_grad(C, ctx):
+    """The package's earlier f3_and_grad: three gathers and one bincount
+    per slot.
+
+    Triple contraction of the symmetric tensor with c = vec(C), and its
+    gradient assembled from the three partial contractions.
+
+    Each stored entry stands for the 6 permutations of its distinct pair
+    indices, so the contraction over the stored entries is scaled by 6; in
+    the gradient each index collects 2 permutations from each of 3 slots.
+    """
+    H = ctx.tensor
+    if H is None or H.m == 0:
+        return 0.0, np.zeros_like(C)
+    c = C.ravel()
+    n = c.size
+    w1 = c[H.p1]
+    w2 = c[H.p2]
+    w3 = c[H.p3]
+    value = 6.0 * float(np.dot(H.values, w1 * w2 * w3))
+    grad = 6.0 * (
+        np.bincount(H.p1, weights=H.values * w2 * w3, minlength=n)
+        + np.bincount(H.p2, weights=H.values * w1 * w3, minlength=n)
+        + np.bincount(H.p3, weights=H.values * w1 * w2, minlength=n)
+    )
+    return value, grad.reshape(C.shape)

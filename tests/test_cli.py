@@ -177,16 +177,19 @@ class TestBenchmarkCommand:
         ({"n_outer_grid": [2.5]}, "'n_outer_grid'"),
         ({"lambda3_grid": [-1]}, "'lambda3_grid'"),
         ({"task_per_class": [1]}, "per_class"),
+        ({"trails": 3}, "unknown keys ['trails']"),
+        ({"task_per_clas": 3}, "tasks[0]: unknown keys ['per_clas']"),
     ], ids=["unknown-key", "zero-admm-iters", "ap", "str-eta", "null-trials", "scalar-grid",
             "str-int", "float-int", "bool-float", "t-per-node", "knn", "pool-factor",
             "ridge-mu", "float-trials", "float-per-class", "float-seed", "str-trials",
-            "str-grid", "float-grid", "negative-grid", "list-task-per-class"])
+            "str-grid", "float-grid", "negative-grid", "list-task-per-class",
+            "unknown-top-level-key", "unknown-task-key"])
     def test_bad_config_is_exit_one(self, task_files, tmp_path, capsys, extra, message):
         # rejected while the spec is read, before any task runs, as an input
         # error that names the key rather than a traceback
         task = dict(name="toy", **task_files)
-        if "task_per_class" in extra:
-            task["per_class"] = extra.pop("task_per_class")
+        for key in [key for key in extra if key.startswith("task_")]:
+            task[key.removeprefix("task_")] = extra.pop(key)
         doc = {"trials": 1, "tasks": [task], **extra}
         spec_path = tmp_path / "bench.json"
         spec_path.write_text(json.dumps(doc))

@@ -387,6 +387,19 @@ class TestLoadBenchmarkFile:
         with pytest.raises(ValueError, match=r"unknown config keys \['cg_iterz', 'warm_start'\]"):
             load_benchmark_file(self.write_doc(tmp_path, doc))
 
+    def test_unknown_top_level_keys_rejected(self, tmp_path):
+        # misspelt settings would otherwise fall back to their defaults
+        doc = {"trails": 3, "lambda2grid": [0.1], "tasks": [self.task_entry("a_w")]}
+        with pytest.raises(ValueError, match=r"unknown keys \['lambda2grid', 'trails'\]"):
+            load_benchmark_file(self.write_doc(tmp_path, doc))
+
+    def test_unknown_task_keys_name_the_task(self, tmp_path):
+        entry = self.task_entry("a_w")
+        entry["per_clas"] = 3
+        doc = {"tasks": [self.task_entry("d_w"), entry]}
+        with pytest.raises(ValueError, match=r"tasks\[1\]: unknown keys \['per_clas'\]"):
+            load_benchmark_file(self.write_doc(tmp_path, doc))
+
     def test_missing_task_keys_rejected(self, tmp_path):
         doc = {"tasks": [{"name": "broken"}]}
         with pytest.raises(ValueError, match="missing keys"):

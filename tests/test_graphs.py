@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmda.graphs import (
+    _features_for,
     _nearest_columns,
     adjacency_matrix,
     build_sparse_tensor,
@@ -13,7 +15,7 @@ from hgmda.graphs import (
     triangle_feature,
 )
 
-from oracles import reference_build_sparse_tensor, triangle_sines
+from oracles import reference_build_sparse_tensor, reference_features_for, triangle_sines
 
 
 class TestSigmaHeuristic:
@@ -278,3 +280,64 @@ class TestMatchesFullSortReference:
         want = np.argsort(d2, axis=1, kind="stable")[:, :k]
         assert np.array_equal(_nearest_columns(d2, k), want)
 
+
+def feature_case(case):
+    """Points and index triples for the feature pass. Besides Gaussian
+    points there are integer points, whose coincident and collinear triples
+    are exact, and repeated indices."""
+    if case == "lattice":
+        X = lattice(16, 4)
+        triples = np.array(list(itertools.permutations(range(16), 3)) + [(0, 0, 1)])
+        return X, triples
+    d = int(case.removesuffix("-d"))
+    rng = np.random.default_rng(d)
+    corner = rng.integers(-2, 3, size=d)
+    step = 1 + np.arange(d) % 2
+    X = np.vstack([
+        rng.normal(size=(30, d)),
+        rng.integers(-2, 3, size=(30, d)),
+        [corner, corner + step, corner + 3 * step, corner],
+    ]).astype(float)
+    triples = np.vstack([rng.integers(0, len(X), size=(2000, 3)), [[60, 61, 62], [60, 63, 5], [7, 7, 8]]])
+    return X, triples
+
+
+class TestFeaturePass:
+    """The vectorised feature pass against the earlier per-triangle loop:
+    the same triples kept, and the same sines to 1e-12 (its dot products
+    round differently)."""
+
+    @pytest.mark.parametrize("case", ["2-d", "3-d", "800-d", "lattice"])
+    def test_matches_per_triangle_loop(self, case):
+        X, triples = feature_case(case)
+        got_triples, got = _features_for(X, triples)
+        want_triples, want = reference_features_for(X, triples)
+        assert np.array_equal(got_triples, want_triples)
+        assert len(want_triples) < len(triples)  # coincident triples dropped
+        collinear = (want == 0.0).all(axis=1)
+        assert collinear.any()
+        assert np.array_equal(got[collinear], want[collinear])
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_no_triples(self):
+        triples, feats = _features_for(np.eye(3), np.empty((0, 3), dtype=int))
+        assert triples.shape == (0, 3) and feats.shape == (0, 3)
+
+
+class TestBuildMemory:
+    def test_peak_is_bounded_by_the_tensor(self):
+        # the tensor-hg benchmark shape, 40 x 80 points in 2-d, at the default
+        # sample sizes. The dedup needs five candidate-sized arrays at once
+        # against the tensor's four; one more array kept alive needlessly
+        # (such as the unsorted keys) breaks the bound
+        Xs, Xt = normals(6, 40, 80, 2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tensor = build_sparse_tensor(Xs, Xt, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (tensor.p1, tensor.p2, tensor.p3, tensor.values))
+        assert peak <= 1.5 * returned

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgmda import objective
 from hgmda.data import class_index_sets
 from hgmda.graphs import SparseTensor3, build_sparse_tensor
 from hgmda.objective import (
@@ -17,7 +18,8 @@ from hgmda.objective import (
     uniform_matching,
 )
 
-from oracles import central_difference_grad, dense_contraction, dense_tensor
+from oracles import central_difference_grad, dense_contraction, dense_tensor, reference_f3_and_grad
+from test_graphs import REFERENCE_CASES
 
 
 def random_context(rng, ns=None, nt=None, d=None, with_tensor=False, with_groups=False):
@@ -167,6 +169,52 @@ class TestF3:
         C = rng.uniform(0.0, 1.0, size=(4, 4))
         v, _ = f3_and_grad(C, ctx)
         assert v >= 0.0
+
+
+def assert_matches_bincount_reference(C, ctx):
+    value, grad = f3_and_grad(C, ctx)
+    want_value, want_grad = reference_f3_and_grad(C, ctx)
+    assert abs(value - want_value) <= 1e-12 * abs(want_value)
+    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+    return value, grad
+
+
+class TestF3MatchesBincountReference:
+    """The blocked contraction against the earlier three-bincount form, to
+    1e-12 relative: it sums the same products in another order."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_reference_case_tensors(self, case):
+        Xs, Xt, kwargs = REFERENCE_CASES[case]
+        tensor = build_sparse_tensor(Xs, Xt, **kwargs)
+        ns, nt = len(Xs), len(Xt)
+        ctx = ObjectiveContext(Xs, Xt, np.zeros((ns, ns)), np.zeros((nt, nt)), tensor=tensor)
+        C = interior_matrix(np.random.default_rng(len(case)), ns, nt)
+        assert_matches_bincount_reference(C, ctx)
+
+    @pytest.mark.parametrize("block", [1, 2, 4, objective.F3_BLOCK])
+    def test_short_runs_and_empty_bins(self, monkeypatch, block):
+        # p1 runs of length 1 (0, 5, 7) and 3 (2); pair indices 1, 3, 4, 6
+        # and 8-11 start no entry. Small blocks cut the run of p1 = 2 and
+        # leave a short last block
+        monkeypatch.setattr(objective, "F3_BLOCK", block)
+        tensor = SparseTensor3(
+            p1=np.array([0, 2, 2, 2, 5, 7]),
+            p2=np.array([1, 3, 3, 6, 9, 8]),
+            p3=np.array([4, 4, 11, 10, 10, 11]),
+            values=np.random.default_rng(12).uniform(0.1, 1.0, size=6),
+            gamma=1.0,
+            ns=3,
+            nt=4,
+        )
+        X = np.zeros((3, 2))
+        ctx = ObjectiveContext(X, np.zeros((4, 2)), np.zeros((3, 3)), np.zeros((4, 4)), tensor=tensor)
+        C = interior_matrix(np.random.default_rng(13), 3, 4)
+        first = assert_matches_bincount_reference(C, ctx)
+        # the run index is computed on the first call and reused after it
+        assert "p1_runs" in vars(tensor)
+        again = assert_matches_bincount_reference(C, ctx)
+        assert first[0] == again[0] and np.array_equal(first[1], again[1])
 
 
 class TestFg:
