@@ -138,6 +138,8 @@ def _permutation_minimum(G):
 def _cmd_lp_check(args):
     if args.n < 2 or args.n > 8:
         raise ValueError("lp-check supports n in [2, 8] (enumeration cost)")
+    if args.trials < 1:
+        raise ValueError("lp-check needs --trials >= 1")
     rng = np.random.default_rng(args.seed)
     a = np.ones(args.n)
     b = np.ones(args.n)

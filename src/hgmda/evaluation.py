@@ -248,9 +248,10 @@ def load_benchmark_file(path):
     paths and may set its own per_class; without one, a task whose source
     features path mentions "dslr" takes 8. A key the file leaves out keeps
     the ExperimentSpec or AdaptationConfig default. An unknown key (at the
-    top level, in config or in a task), a value of the wrong JSON type, and
-    a grid value that AdaptationConfig rejects raise a ValueError naming the
-    key before any task runs.
+    top level, in config or in a task), a value of the wrong JSON type, a
+    grid value that AdaptationConfig rejects, and eta or lambda_g given both
+    at the top level and in config raise a ValueError naming the key before
+    any task runs.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -277,7 +278,9 @@ def load_benchmark_file(path):
         need(name, value, kinds[name])
     for key, name in (("eta", "eta"), ("lambda_g", "lam_g")):
         if key in doc:
-            cfg_kwargs.setdefault(name, need(key, doc[key], kinds[name]))
+            if name in cfg_kwargs:
+                raise ValueError(f"{path}: {key!r} and config {name!r} set the same value")
+            cfg_kwargs[name] = need(key, doc[key], kinds[name])
     base_cfg = AdaptationConfig(**cfg_kwargs)
     seed = need("seed", doc.get("seed", 0), int)
 

@@ -70,7 +70,10 @@ def _triangle_sines(A, B, C):
 
     Uses sin(angle) = 2 * area / (product of adjacent sides), with the
     squared area from the Gram determinant so points may live in any
-    dimension; collinear triangles give (0, 0, 0).
+    dimension. For collinear points the determinant cancels to rounding
+    noise of order 1e-16 * lab * lac, which the square root lifts to sines
+    of order 1e-8: they are (0, 0, 0) only when it cancels exactly, as on
+    integer coordinates, and sines below about 1e-7 carry no reliable digits.
     """
     ab = B - A
     ac = C - A
@@ -89,7 +92,8 @@ def _triangle_sines(A, B, C):
 def triangle_feature(a, b, c):
     """Sines of the interior angles at vertices a, b, c.
 
-    Collinear triples give (0, 0, 0); coincident points are rejected.
+    Collinear triples give sines at rounding level (see _triangle_sines);
+    coincident points are rejected.
     """
     sines, keep = _triangle_sines(*(np.asarray(p, dtype=float)[None] for p in (a, b, c)))
     if not keep[0]:

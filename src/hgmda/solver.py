@@ -15,47 +15,37 @@ sparse scaling algorithms): P = diag(u) K diag(v) with
 K = exp((f (+) g - G)/eps), and each (re)start sets f and then g by one
 exact log-domain row and column update, so no kernel row or column
 underflows. The scalings are folded into f and g, and the kernel rebuilt,
-whenever they leave [1/SCALING_BOUND, SCALING_BOUND]. The column potential
-g carries over from one outer iteration to the next. A call stops once the
-L1 row-marginal error is at most LMO_TOL_FACTOR * gamma_t * ns, tested
-every LMO_CHECK_EVERY iterations, or at its iteration cap. The plan is then
-rounded exactly onto the polytope by Algorithm 2 of Altschuler, Weed &
-Rigollet 2017 (Near-linear time approximation algorithms for optimal
-transport via Sinkhorn iteration): scale down the rows, then the columns,
-that exceed their marginal, and add the rank-one outer product of the
-remaining deficits. Every oracle output is therefore feasible to rounding,
+whenever they leave [1/SCALING_BOUND, SCALING_BOUND]. Successive gradients
+are close, so each call starts from the previous call's column potential
+g. A call stops once the L1 row-marginal error is at most
+LMO_TOL_FACTOR * gamma_t * ns, tested every LMO_CHECK_EVERY iterations, or
+at its iteration cap. The plan is then rounded exactly onto the polytope by
+Algorithm 2 of Altschuler, Weed & Rigollet 2017 (Near-linear time
+approximation algorithms for optimal transport via Sinkhorn iteration):
+scale down the rows, then the columns, that exceed their marginal, and add
+the rank-one outer product of the remaining deficits. Every oracle output is therefore feasible to rounding,
 however few iterations ran, and so is every iterate.
 
-The gap each iteration records is certified by LP duality. The c-transforms
+The gap each pass records is certified by LP duality. The c-transforms
 of the row potential f, v_j = min_i (G_ij - f_i) and then
 u_i = min_j (G_ij - v_j), give a dual-feasible pair, so by weak duality
 a.u + b.v bounds the LP minimum from below and <G, C> - (a.u + b.v) bounds
-the exact Frank-Wolfe gap at C from above. The final gap call uses
-gamma_{T+1}.
+the exact Frank-Wolfe gap at C from above.
 
 admm_lp is the paper's LP routine, used standalone (lp-check, the LP
-acceptance criterion); cg_solve does not call it. It splits the LP into
-three blocks, one per constraint (row sums, column sums, non-negativity),
-coupled through a consensus variable Z; every block update is closed form
-(the three-block consensus form of Boyd et al. 2011, Distributed
-Optimization and Statistical Learning via ADMM, section 7.1). A sweep
-projects Z - Gw/2 - Y1 onto the row constraint, Z - Gw/2 - Y2 onto the
-column constraint and Z - Y3 onto C >= 0, averages the three blocks Ci into
-the next Z and adds each block's residual Ci - Z to its dual Yi. The
-penalty is fixed at rho = 1; since scaling rho is equivalent to scaling G,
-the gradient Gw is G normalized to the working magnitude GRADIENT_SCALE
-instead, which keeps the sweep budget equally effective across gradient
-scales. The budget is a cap: every RESIDUAL_CHECK_EVERY sweeps the primal
-consensus residual max |Ci - Z| and the dual residual max |Z - Z_prev| are
-checked, and the run stops once both fall below RESIDUAL_TOL (the stopping
-rule of Boyd et al. 2011, section 3.3), measured in the normalized working
-units.
+acceptance criterion); cg_solve does not call it. It is three-block
+consensus ADMM (Boyd et al. 2011, Distributed Optimization and Statistical
+Learning via ADMM, sections 3.3 and 7.1), one closed-form block per
+constraint. The penalty is fixed at rho = 1; since scaling rho is
+equivalent to scaling G, the gradient Gw is G normalized to the working
+magnitude GRADIENT_SCALE instead, which keeps the sweep budget equally
+effective across gradient scales.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,7 +55,7 @@ from .objective import marginals, total_objective, uniform_matching
 GRADIENT_SCALE = 8.0
 
 # absolute primal/dual residual bound that ends an ADMM run early, checked
-# every RESIDUAL_CHECK_EVERY sweeps (see module docstring)
+# every RESIDUAL_CHECK_EVERY sweeps
 RESIDUAL_TOL = 1e-6
 RESIDUAL_CHECK_EVERY = 25
 
@@ -183,7 +173,7 @@ def _c_transform_bound(G, f, a, b):
     return float(a @ u + b @ v)
 
 
-def _sinkhorn_lmo(G, a, b, gamma, g=None, max_iters=300):
+def _sinkhorn_lmo(G, a, b, gamma, g, max_iters):
     """Entropic oracle for min Tr(G^T C) over {C >= 0, C 1 = a, C^T 1 = b}
     at the step gamma, warm-started from the column potential g (zeros when
     None), for at most max_iters (>= 1) Sinkhorn iterations.
@@ -230,13 +220,14 @@ def _sinkhorn_lmo(G, a, b, gamma, g=None, max_iters=300):
 
 @dataclass
 class CgDiagnostics:
-    """Per-iteration record of a conditional-gradient run.
+    """Per-pass record of a conditional-gradient run.
 
-    row/col/min entries track the CG iterates, the start included. gap_trace
-    holds the certified Frank-Wolfe gap of each iteration, final_gap that at
-    the returned C. lp_iterations holds the Sinkhorn iterations each oracle
-    call ran and lp_marginal_errors the L1 marginal error of its plan before
-    rounding, the final gap call included in both.
+    objective_trace and gap_trace hold the objective and the certified
+    Frank-Wolfe gap at each pass's C, lp_iterations the Sinkhorn iterations
+    of its oracle call and lp_marginal_errors the L1 marginal error of that
+    plan before rounding, the certifying last pass included in all four.
+    row/col/min entries track the iterates, the start included. final_gap
+    is the gap at the returned C.
     """
 
     objective_trace: list = field(default_factory=list)
@@ -255,27 +246,16 @@ class CgDiagnostics:
         self.min_entries.append(float(C.min()))
 
     def as_dict(self):
-        return {
-            "objective_trace": list(self.objective_trace),
-            "gap_trace": list(self.gap_trace),
-            "row_residuals": list(self.row_residuals),
-            "col_residuals": list(self.col_residuals),
-            "min_entries": list(self.min_entries),
-            "lp_iterations": list(self.lp_iterations),
-            "lp_marginal_errors": list(self.lp_marginal_errors),
-            "final_gap": self.final_gap,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
-def cg_solve(ctx, weights, cg_iters=20, admm_iters=300):
+def cg_solve(ctx, weights, cg_iters, admm_iters):
     """Frank-Wolfe with step 2/(t+2) over the matching polytope, from the
-    uniform feasible point.
+    uniform feasible point. Runs cg_iters steps, then one more pass that
+    certifies the gap at the returned C and takes no step.
 
     Returns (C, CgDiagnostics). Each oracle call runs at most admm_iters
-    Sinkhorn iterations (the name predates the Sinkhorn oracle) and starts
-    from the previous call's column potential (successive gradients are
-    close, so the potential remains a good guess).
+    Sinkhorn iterations (the name predates the Sinkhorn oracle).
     """
     if cg_iters < 1 or admm_iters < 1:
         raise ValueError("iteration counts must be >= 1")
@@ -284,31 +264,21 @@ def cg_solve(ctx, weights, cg_iters=20, admm_iters=300):
     diag = CgDiagnostics()
     diag.record_feasibility(C, a, b)
     g = None
-
-    def certified_gap(G, t_i):
-        """Runs the oracle at step 2/(t_i+2); returns its plan and the
-        certified gap at C."""
-        nonlocal g
-        C_d, g, bound, iterations, error = _sinkhorn_lmo(
-            G, a, b, 2.0 / (t_i + 2.0), g, admm_iters)
-        diag.lp_iterations.append(iterations)
-        diag.lp_marginal_errors.append(error)
-        return C_d, float(np.vdot(G, C)) - bound
-
     start = time.perf_counter()
-    for t_i in range(1, cg_iters + 1):
+    for t in range(1, cg_iters + 2):
         value, G = total_objective(C, ctx, weights)
         if not np.isfinite(value):
             raise FloatingPointError("objective became non-finite")
-        C_d, gap = certified_gap(G, t_i)
+        gamma = 2.0 / (t + 2.0)
+        C_d, g, bound, iterations, error = _sinkhorn_lmo(G, a, b, gamma, g, admm_iters)
         diag.objective_trace.append(value)
-        diag.gap_trace.append(gap)
-        alpha = 2.0 / (t_i + 2.0)
-        C = C + alpha * (C_d - C)
+        diag.gap_trace.append(float(np.vdot(G, C)) - bound)
+        diag.lp_iterations.append(iterations)
+        diag.lp_marginal_errors.append(error)
+        if t > cg_iters:
+            break
+        C = C + gamma * (C_d - C)
         diag.record_feasibility(C, a, b)
-    value, G = total_objective(C, ctx, weights)
-    _, diag.final_gap = certified_gap(G, cg_iters + 1)
-    diag.objective_trace.append(value)
-    diag.gap_trace.append(diag.final_gap)
+    diag.final_gap = diag.gap_trace[-1]
     diag.wall_time = time.perf_counter() - start
     return C, diag

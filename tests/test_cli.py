@@ -179,11 +179,13 @@ class TestBenchmarkCommand:
         ({"task_per_class": [1]}, "per_class"),
         ({"trails": 3}, "unknown keys ['trails']"),
         ({"task_per_clas": 3}, "tasks[0]: unknown keys ['per_clas']"),
+        ({"eta": 0.5, "config": {"eta": 1.0}}, "'eta' and config 'eta'"),
+        ({"lambda_g": 0.2, "config": {"lam_g": 0.0}}, "'lambda_g' and config 'lam_g'"),
     ], ids=["unknown-key", "zero-admm-iters", "ap", "str-eta", "null-trials", "scalar-grid",
             "str-int", "float-int", "bool-float", "t-per-node", "knn", "pool-factor",
             "ridge-mu", "float-trials", "float-per-class", "float-seed", "str-trials",
             "str-grid", "float-grid", "negative-grid", "list-task-per-class",
-            "unknown-top-level-key", "unknown-task-key"])
+            "unknown-top-level-key", "unknown-task-key", "eta-twice", "lambda-g-twice"])
     def test_bad_config_is_exit_one(self, task_files, tmp_path, capsys, extra, message):
         # rejected while the spec is read, before any task runs, as an input
         # error that names the key rather than a traceback
@@ -220,6 +222,15 @@ class TestLpCheckCommand:
         code = main(["lp-check", "--n", "9"])
         assert code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_is_exit_one(self, capsys, trials):
+        # a check over no trials has nothing to report
+        code = main(["lp-check", "--n", "3", "--trials", trials])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--trials" in captured.err
+        assert captured.out == ""
 
     def test_zero_admm_iters_is_exit_one(self, capsys):
         code = main(["lp-check", "--n", "3", "--trials", "1", "--admm-iters", "0"])

@@ -75,6 +75,14 @@ class TestTriangleFeature:
         f = triangle_feature([0.0, 0.0], [1.0, 0.0], [2.0, 0.0])
         assert np.array_equal(f, np.zeros(3))
 
+    def test_collinear_off_grid_gives_rounding_level_sines(self):
+        # coordinates that are not exact in binary leave the squared area at
+        # rounding noise, which the square root lifts to about 1e-8
+        assert triangle_feature([0.0, 0.0], [0.1, 0.1], [0.3, 0.3]).max() < 1e-7
+        rng = np.random.default_rng(0)
+        a, t = rng.normal(size=(2, 800))
+        assert triangle_feature(a, a + 0.1 * t, a + 0.3 * t).max() < 1e-7
+
     def test_coincident_rejected(self):
         with pytest.raises(ValueError, match="coincident"):
             triangle_feature([1.0, 1.0], [1.0, 1.0], [0.0, 0.0])

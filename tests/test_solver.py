@@ -230,7 +230,7 @@ class TestSinkhornLmo:
 
     def test_zero_gradient_returns_feasible(self):
         a, b = marginals(3, 5)
-        C_d, _, bound, _, _ = _sinkhorn_lmo(np.zeros((3, 5)), a, b, 0.5)
+        C_d, _, bound, _, _ = _sinkhorn_lmo(np.zeros((3, 5)), a, b, 0.5, None, 300)
         assert np.abs(C_d.sum(axis=1) - a).max() <= 1e-15
         assert np.abs(C_d.sum(axis=0) - b).max() <= 1e-15
         assert bound == 0.0
@@ -317,7 +317,7 @@ class TestCgSolve:
         # initial point and LP outputs can take
         rng = np.random.default_rng(15)
         ctx = convex_context(rng, ns=4, nt=4)
-        C, diag = cg_solve(ctx, ObjectiveWeights(lam2=0.3), cg_iters=15)
+        C, diag = cg_solve(ctx, ObjectiveWeights(lam2=0.3), cg_iters=15, admm_iters=300)
         assert C.min() >= -1e-4
         assert C.max() <= 1.0 + 1e-3
 
@@ -339,8 +339,33 @@ class TestCgSolve:
             "final_gap", "wall_time",
         }
 
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_certifying_pass_is_the_next_step_prefix(self, steps):
+        # the last pass of a run of T steps certifies the returned C without
+        # moving it, so its record is the prefix of a run of T + 1 steps
+        from hgmda.data import class_index_sets
+        from hgmda.graphs import build_sparse_tensor
+
+        rng = np.random.default_rng(18)
+        base = convex_context(rng, ns=6, nt=8, d=3)
+        ctx = ObjectiveContext(
+            Xs=base.Xs, Xt=base.Xt, Ds=base.Ds, Dt=base.Dt,
+            tensor=build_sparse_tensor(base.Xs, base.Xt, seed=3),
+            class_groups=class_index_sets(1 + np.arange(6) % 2, 2),
+        )
+        w = ObjectiveWeights(lam2=0.1, lam3=0.05, lam_g=0.01)
+        _, short = cg_solve(ctx, w, cg_iters=steps, admm_iters=300)
+        _, longer = cg_solve(ctx, w, cg_iters=steps + 1, admm_iters=300)
+        assert ctx.tensor.m > 0
+        for name in (
+            "objective_trace", "gap_trace", "lp_iterations", "lp_marginal_errors",
+            "row_residuals", "col_residuals", "min_entries",
+        ):
+            assert getattr(short, name) == getattr(longer, name)[: steps + 1], name
+        assert short.final_gap == longer.gap_trace[steps]
+
     def test_rejects_bad_iteration_counts(self):
         rng = np.random.default_rng(17)
         ctx = convex_context(rng, ns=3, nt=3)
         with pytest.raises(ValueError):
-            cg_solve(ctx, ObjectiveWeights(), cg_iters=0)
+            cg_solve(ctx, ObjectiveWeights(), cg_iters=0, admm_iters=300)
