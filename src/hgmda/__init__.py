@@ -10,13 +10,7 @@ from .data import (
     write_features,
 )
 from .exemplars import ExemplarSet, select_exemplars
-from .graphs import (
-    SparseTensor3,
-    adjacency_matrix,
-    build_sparse_tensor,
-    sigma_heuristic,
-    triangle_feature,
-)
+from .graphs import SparseTensor3, adjacency_matrix, build_sparse_tensor, sigma_heuristic
 from .objective import ObjectiveContext, ObjectiveWeights, total_objective
 from .pipeline import AdaptationConfig, AdaptResult, LinearMap, adapt, fit_ridge_mapping
 from .solver import admm_lp, cg_solve
@@ -62,6 +56,5 @@ __all__ = [
     "select_exemplars",
     "sigma_heuristic",
     "total_objective",
-    "triangle_feature",
     "write_features",
 ]

@@ -68,6 +68,10 @@ class ExperimentSpec:
             raise ValueError("target_fraction must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name in ("lam2", "lam3", "n_outer"):
+            grid = getattr(self, f"{name}_grid")
+            if grid is not None and len(grid) == 0:
+                raise ValueError(f"{name}_grid is empty; leave it out to use config.{name}")
 
 
 @dataclass
@@ -248,10 +252,12 @@ def load_benchmark_file(path):
     paths and may set its own per_class; without one, a task whose source
     features path mentions "dslr" takes 8. A key the file leaves out keeps
     the ExperimentSpec or AdaptationConfig default. An unknown key (at the
-    top level, in config or in a task), a value of the wrong JSON type, a
-    grid value that AdaptationConfig rejects, and eta or lambda_g given both
-    at the top level and in config raise a ValueError naming the key before
-    any task runs.
+    top level, in config or in a task), a value of the wrong JSON type (a
+    task's name and paths must be strings), an empty grid or a grid value
+    that AdaptationConfig rejects, eta or lambda_g given both at the top
+    level and in config, a grid given together with its config value, and a
+    config seed (each trial derives its own from the top-level seed) raise a
+    ValueError naming the key before any task runs.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -261,7 +267,9 @@ def load_benchmark_file(path):
     if unknown:
         raise ValueError(f"{path}: unknown keys {unknown}")
 
-    nouns = {int: "an integer", float: "a number", list: "a list", dict: "an object"}
+    nouns = {
+        int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"
+    }
 
     def need(key, value, kind):
         # a float setting also takes a JSON integer; true and false are no number
@@ -274,6 +282,8 @@ def load_benchmark_file(path):
     unknown = sorted(set(cfg_kwargs) - set(kinds))
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
+    if "seed" in cfg_kwargs:
+        raise ValueError(f"{path}: config 'seed' is derived per trial; set the top-level 'seed'")
     for name, value in cfg_kwargs.items():
         need(name, value, kinds[name])
     for key, name in (("eta", "eta"), ("lambda_g", "lam_g")):
@@ -291,6 +301,8 @@ def load_benchmark_file(path):
     for key, name in (("lambda2_grid", "lam2"), ("lambda3_grid", "lam3"), ("n_outer_grid", "n_outer")):
         if key not in doc:
             continue
+        if name in cfg_kwargs:
+            raise ValueError(f"{path}: {key!r} and config {name!r} set the same value")
         for value in need(key, doc[key], list):
             need(key, value, kinds[name])
             # AdaptationConfig checks each field on its own, so a grid value
@@ -311,20 +323,11 @@ def load_benchmark_file(path):
         unknown = sorted(set(task) - {*_TASK_PATH_KEYS, "per_class"})
         if unknown:
             raise ValueError(f"{path}: tasks[{index}]: unknown keys {unknown}")
+        paths = {key: need(f"tasks[{index}].{key}", task[key], str) for key in _TASK_PATH_KEYS}
         quota = {}
         if "per_class" in task:
             quota["per_class"] = need(f"tasks[{index}].per_class", task["per_class"], int)
-        elif "dslr" in str(task["source_features"]).lower():
+        elif "dslr" in paths["source_features"].lower():
             quota["per_class"] = 8  # that domain is small
-        specs.append(
-            ExperimentSpec(
-                name=task["name"],
-                source_features=task["source_features"],
-                source_labels=task["source_labels"],
-                target_features=task["target_features"],
-                target_labels=task["target_labels"],
-                config=base_cfg,
-                **{**protocol, **quota},
-            )
-        )
+        specs.append(ExperimentSpec(**paths, config=base_cfg, **{**protocol, **quota}))
     return specs, seed

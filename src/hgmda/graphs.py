@@ -14,20 +14,20 @@ triangle pair is stored once, with its pair indices in ascending order, and
 the contraction in objective.f3_and_grad scales by 6 for the other five
 permutations.
 
-The sample sizes are fixed parts of the method: T_PER_NODE source triangles
-through each source node, a pool of POOL_FACTOR * n_t target triangles, and
-the KNN nearest pool triangles kept per source triangle. The triangles are
-drawn one at a time, on purpose: drawing them in one call would change the
-RNG stream and so the tensor. Their features are then computed in one
-vectorised pass over all sampled triangles, in blocks of FEATURE_BLOCK
-gathered floats.
+The sample sizes are fixed parts of the method, module constants that
+build_sparse_tensor reads when it is called and takes no argument for:
+T_PER_NODE source triangles through each source node, a pool of
+POOL_FACTOR * n_t target triangles, and the KNN nearest pool triangles kept
+per source triangle. The triangles are drawn one at a time, on purpose:
+drawing them in one call would change the RNG stream and so the tensor.
+Their features are then computed in one vectorised pass over all sampled
+triangles, in blocks of FEATURE_BLOCK gathered floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
 
 import numpy as np
 
@@ -87,18 +87,6 @@ def _triangle_sines(A, B, C):
     twice_area = np.sqrt(np.maximum(lab * lac - dot * dot, 0.0))
     sines = twice_area[:, None] / np.sqrt(np.column_stack((lab * lac, lab * lbc, lac * lbc)))
     return np.minimum(sines, 1.0, out=sines), keep
-
-
-def triangle_feature(a, b, c):
-    """Sines of the interior angles at vertices a, b, c.
-
-    Collinear triples give sines at rounding level (see _triangle_sines);
-    coincident points are rejected.
-    """
-    sines, keep = _triangle_sines(*(np.asarray(p, dtype=float)[None] for p in (a, b, c)))
-    if not keep[0]:
-        raise ValueError("coincident points have no triangle feature")
-    return sines[0]
 
 
 @dataclass(frozen=True)
@@ -186,18 +174,15 @@ def _nearest_columns(d2, k):
     return np.take_along_axis(cols, order, axis=1)
 
 
-def build_sparse_tensor(
-    Xs, Xt, t_per_node=T_PER_NODE, knn=KNN, pool_factor=POOL_FACTOR, seed=0, exhaustive=False
-):
+def build_sparse_tensor(Xs, Xt, seed=0):
     """Sample triangle correspondences and store their similarity values.
 
-    For every source node, t_per_node random source triangles through that
-    node are matched to their knn nearest triangles (by feature distance)
-    from a shared pool of pool_factor * n_t random target triangles. gamma
+    For every source node, T_PER_NODE random source triangles through that
+    node are matched to their KNN nearest triangles (by feature distance)
+    from a shared pool of POOL_FACTOR * n_t random target triangles. gamma
     comes from the mean squared feature distance over all candidate pairs.
     The RNG is split per source node, so results do not depend on evaluation
-    order. exhaustive=True enumerates every source triangle and every target
-    vertex ordering instead (only sensible for tiny inputs).
+    order.
     """
     Xs = np.asarray(Xs, dtype=float)
     Xt = np.asarray(Xt, dtype=float)
@@ -207,35 +192,23 @@ def build_sparse_tensor(
     N = ns * nt
     if N**3 >= 2**63:
         raise ValueError("pair-index space too large for 64-bit dedup keys")
-    if not exhaustive and knn < 1:
-        raise ValueError("knn must be >= 1")
 
-    if exhaustive:
-        pool = np.array(list(permutations(range(nt), 3)), dtype=int)
-    else:
-        root = np.random.SeedSequence(seed)
-        children = root.spawn(ns + 1)
-        pool_rng = np.random.default_rng(children[ns])
-        pool = _sample_triples(pool_rng, nt, pool_factor * nt)
+    children = np.random.SeedSequence(seed).spawn(ns + 1)
+    pool = _sample_triples(np.random.default_rng(children[ns]), nt, POOL_FACTOR * nt)
     pool, pool_feats = _features_for(Xt, pool)
     if len(pool) == 0:
         raise ValueError("degenerate target domain: no valid triangles")
 
-    if exhaustive:
-        tri = np.array(list(combinations(range(ns), 3)), dtype=int)
-        chunks = [_features_for(Xs, tri)]
-        k = len(pool)
-    else:
-        chunks = [
-            _features_for(
-                Xs, _sample_triples(np.random.default_rng(children[i]), ns, t_per_node, anchor=i)
-            )
-            for i in range(ns)
-        ]
-        k = min(knn, len(pool))
+    chunks = [
+        _features_for(
+            Xs, _sample_triples(np.random.default_rng(children[i]), ns, T_PER_NODE, anchor=i)
+        )
+        for i in range(ns)
+    ]
     chunks = [(tri, feats) for tri, feats in chunks if len(tri)]
     if not chunks:
         raise ValueError("degenerate source domain: no valid triangles")
+    k = min(KNN, len(pool))
 
     # per-node chunks keep the knn distance matrices small; each candidate
     # is kept only as the int64 key of its ascending pair indices

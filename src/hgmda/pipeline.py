@@ -17,7 +17,7 @@ import copy
 import hashlib
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -264,7 +264,7 @@ def _outer_round(source, target, current, trial, cfg, round_index):
         "row_residual": row_residual,
         "col_residual": col_residual,
         "feasible": max(row_residual, col_residual) <= FEASIBILITY_TOL,
-        "solver": diag.as_dict(),
+        "solver": asdict(diag),
         "shared_inputs": first and not built,
         "stage_times": times,
         "wall_time": time.perf_counter() - t0,

@@ -45,7 +45,7 @@ effective across gradient scales.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -244,9 +244,6 @@ class CgDiagnostics:
         self.row_residuals.append(float(np.abs(C.sum(axis=1) - a).max()))
         self.col_residuals.append(float(np.abs(C.sum(axis=0) - b).max()))
         self.min_entries.append(float(C.min()))
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def cg_solve(ctx, weights, cg_iters, admm_iters):

@@ -8,13 +8,14 @@ skips when the HGMDA_OFFICE_CALTECH_DIR environment variable is unset.
 
 import os
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from hgmda.data import LabeledDataset, class_index_sets, write_features
 from hgmda.evaluation import ExperimentSpec, run_benchmark, run_task
-from hgmda.graphs import adjacency_matrix, build_sparse_tensor, sigma_heuristic, triangle_feature
+from hgmda.graphs import _triangle_sines, adjacency_matrix, sigma_heuristic
 from hgmda.objective import (
     ObjectiveContext,
     ObjectiveWeights,
@@ -36,6 +37,7 @@ from oracles import (
     permutation_minimum,
     triangle_sines,
 )
+from test_graphs import sampled_tensor
 
 
 def random_context(rng, with_tensor=False, with_groups=False):
@@ -46,7 +48,7 @@ def random_context(rng, with_tensor=False, with_groups=False):
     Xt = rng.normal(size=(nt, d))
     tensor = None
     if with_tensor:
-        tensor = build_sparse_tensor(
+        tensor = sampled_tensor(
             Xs, Xt, t_per_node=8, knn=nt, pool_factor=4, seed=int(rng.integers(1 << 31))
         )
     groups = None
@@ -184,7 +186,7 @@ def test_criterion_3_iterate_feasibility():
     for _ in range(8):
         ctx, lam2 = planted_instance(rng)
         _, diag = cg_solve(ctx, ObjectiveWeights(lam2=lam2), cg_iters=25, admm_iters=1000)
-        absorb(diag.as_dict())
+        absorb(asdict(diag))
 
     source, tgt_X, _ = rotated_gaussian_task(n_per_class=40, seed=0)
     ss = np.random.SeedSequence([0, 0])
@@ -221,7 +223,7 @@ def test_criterion_4_sparse_tensor_correctness():
         for nt in (3, 4, 5):
             Xs = rng.normal(size=(ns, 3))
             Xt = rng.normal(size=(nt, 3))
-            tensor = build_sparse_tensor(
+            tensor = sampled_tensor(
                 Xs, Xt, t_per_node=6, knn=nt, pool_factor=3, seed=int(rng.integers(1 << 31))
             )
             ctx = ObjectiveContext(
@@ -240,13 +242,13 @@ def test_criterion_4_sparse_tensor_correctness():
     worst_inv = 0.0
     for _ in range(50):
         P = rng.normal(size=(3, 2))
-        base = triangle_feature(P[0], P[1], P[2])
+        base = _triangle_sines(*P[:, None])[0][0]
         theta = rng.uniform(0.0, 2.0 * np.pi)
         R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         s = float(rng.uniform(0.2, 5.0))
         t = rng.normal(size=2)
         Q = s * (P @ R.T) + t
-        moved = triangle_feature(Q[0], Q[1], Q[2])
+        moved = _triangle_sines(*Q[:, None])[0][0]
         worst_inv = max(worst_inv, float(np.abs(moved - base).max()))
 
     print(

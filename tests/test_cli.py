@@ -181,11 +181,20 @@ class TestBenchmarkCommand:
         ({"task_per_clas": 3}, "tasks[0]: unknown keys ['per_clas']"),
         ({"eta": 0.5, "config": {"eta": 1.0}}, "'eta' and config 'eta'"),
         ({"lambda_g": 0.2, "config": {"lam_g": 0.0}}, "'lambda_g' and config 'lam_g'"),
+        # an int path would be opened as a file descriptor: 0 reads stdin
+        ({"task_source_features": 0}, "'tasks[0].source_features' needs a string"),
+        ({"task_target_labels": None}, "'tasks[0].target_labels' needs a string"),
+        ({"task_name": 3}, "'tasks[0].name' needs a string"),
+        ({"lambda2_grid": []}, "lam2_grid is empty"),
+        ({"config": {"seed": 3}}, "config 'seed' is derived per trial; set the top-level 'seed'"),
+        ({"lambda3_grid": [0.1], "config": {"lam3": 0.0}}, "'lambda3_grid' and config 'lam3'"),
     ], ids=["unknown-key", "zero-admm-iters", "ap", "str-eta", "null-trials", "scalar-grid",
             "str-int", "float-int", "bool-float", "t-per-node", "knn", "pool-factor",
             "ridge-mu", "float-trials", "float-per-class", "float-seed", "str-trials",
             "str-grid", "float-grid", "negative-grid", "list-task-per-class",
-            "unknown-top-level-key", "unknown-task-key", "eta-twice", "lambda-g-twice"])
+            "unknown-top-level-key", "unknown-task-key", "eta-twice", "lambda-g-twice",
+            "int-path", "null-target-labels", "int-name", "empty-grid", "config-seed",
+            "grid-and-config"])
     def test_bad_config_is_exit_one(self, task_files, tmp_path, capsys, extra, message):
         # rejected while the spec is read, before any task runs, as an input
         # error that names the key rather than a traceback

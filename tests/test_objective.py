@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hgmda import objective
 from hgmda.data import class_index_sets
-from hgmda.graphs import SparseTensor3, build_sparse_tensor
+from hgmda.graphs import SparseTensor3
 from hgmda.objective import (
     ObjectiveContext,
     ObjectiveWeights,
@@ -18,8 +18,14 @@ from hgmda.objective import (
     uniform_matching,
 )
 
-from oracles import central_difference_grad, dense_contraction, dense_tensor, reference_f3_and_grad
-from test_graphs import REFERENCE_CASES
+from oracles import (
+    central_difference_grad,
+    dense_contraction,
+    dense_tensor,
+    reference_build_sparse_tensor,
+    reference_f3_and_grad,
+)
+from test_graphs import REFERENCE_CASES, normals
 
 
 def random_context(rng, ns=None, nt=None, d=None, with_tensor=False, with_groups=False):
@@ -35,7 +41,7 @@ def random_context(rng, ns=None, nt=None, d=None, with_tensor=False, with_groups
         np.fill_diagonal(A, 0.0)
         return A
 
-    tensor = build_sparse_tensor(Xs, Xt, exhaustive=True) if with_tensor else None
+    tensor = reference_build_sparse_tensor(Xs, Xt, exhaustive=True) if with_tensor else None
     groups = None
     if with_groups:
         labels = rng.integers(1, 3, size=ns)
@@ -183,10 +189,14 @@ class TestF3MatchesBincountReference:
     """The blocked contraction against the earlier three-bincount form, to
     1e-12 relative: it sums the same products in another order."""
 
-    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    # the sampled tensors are the package's bit for bit (test_graphs); the
+    # exhaustive one holds every triangle pair
+    CASES = {**REFERENCE_CASES, "exhaustive": (*normals(2, 5, 4, 2), dict(exhaustive=True))}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_reference_case_tensors(self, case):
-        Xs, Xt, kwargs = REFERENCE_CASES[case]
-        tensor = build_sparse_tensor(Xs, Xt, **kwargs)
+        Xs, Xt, kwargs = self.CASES[case]
+        tensor = reference_build_sparse_tensor(Xs, Xt, **kwargs)
         ns, nt = len(Xs), len(Xt)
         ctx = ObjectiveContext(Xs, Xt, np.zeros((ns, ns)), np.zeros((nt, nt)), tensor=tensor)
         C = interior_matrix(np.random.default_rng(len(case)), ns, nt)

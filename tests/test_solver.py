@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,7 +334,7 @@ class TestCgSolve:
         assert len(diag.lp_marginal_errors) == 5
         assert diag.final_gap == diag.gap_trace[-1]
         assert diag.wall_time > 0.0
-        d = diag.as_dict()
+        d = asdict(diag)
         assert set(d) == {
             "objective_trace", "gap_trace", "row_residuals", "col_residuals",
             "min_entries", "lp_iterations", "lp_marginal_errors",
