@@ -151,9 +151,7 @@ def run_task(spec: ExperimentSpec, seed=0):
         na[trial] = accuracy(knn_predict(sampled, Xa), ya)
         na_held[trial] = accuracy(knn_predict(sampled, Xh), yh)
 
-        # every combo of the trial shares the lambda-independent inputs
-        # (target exemplars, round-1 source exemplars and tensor); combos
-        # that differ only in n_outer also share their leading rounds
+        # the trial's combos share what no weight changes (see _reuse_rounds)
         with _reuse_rounds():
             for ci, (lam2, lam3, n_outer) in enumerate(combos):
                 cfg = replace(
@@ -253,11 +251,12 @@ def load_benchmark_file(path):
     features path mentions "dslr" takes 8. A key the file leaves out keeps
     the ExperimentSpec or AdaptationConfig default. An unknown key (at the
     top level, in config or in a task), a value of the wrong JSON type (a
-    task's name and paths must be strings), an empty grid or a grid value
-    that AdaptationConfig rejects, eta or lambda_g given both at the top
-    level and in config, a grid given together with its config value, and a
-    config seed (each trial derives its own from the top-level seed) raise a
-    ValueError naming the key before any task runs.
+    task's name and paths must be strings), a value that ExperimentSpec or
+    AdaptationConfig rejects (an empty grid among them), eta or lambda_g
+    given both at the top level and in config, a grid given together with
+    its config value, and a config seed (each trial derives its own from the
+    top-level seed) raise a ValueError naming the file and the key as the
+    file spells it, such as tasks[0].per_class, before any task runs.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -277,6 +276,14 @@ def load_benchmark_file(path):
             raise ValueError(f"{path}: {key!r} needs {nouns[kind]}, got {value!r}")
         return value
 
+    def check(key, base, **setting):
+        # AdaptationConfig and ExperimentSpec check each field on its own, so a
+        # setting that passes here passes in every combo and every task
+        try:
+            replace(base, **setting)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad value in {key!r}: {exc}") from None
+
     cfg_kwargs = dict(need("config", doc.get("config", {}), dict))
     kinds = {f.name: type(f.default) for f in fields(AdaptationConfig)}
     unknown = sorted(set(cfg_kwargs) - set(kinds))
@@ -295,23 +302,22 @@ def load_benchmark_file(path):
     seed = need("seed", doc.get("seed", 0), int)
 
     protocol = {}  # the ExperimentSpec settings the file gives
+    unset = ExperimentSpec("", "", "", "")  # the spec each setting is checked on
     for key, kind in (("trials", int), ("target_fraction", float), ("per_class", int)):
         if key in doc:
             protocol[key] = need(key, doc[key], kind)
+            check(key, unset, **{key: protocol[key]})
     for key, name in (("lambda2_grid", "lam2"), ("lambda3_grid", "lam3"), ("n_outer_grid", "n_outer")):
         if key not in doc:
             continue
         if name in cfg_kwargs:
             raise ValueError(f"{path}: {key!r} and config {name!r} set the same value")
-        for value in need(key, doc[key], list):
+        grid = tuple(need(key, doc[key], list))
+        check(key, unset, **{f"{name}_grid": grid})
+        for value in grid:
             need(key, value, kinds[name])
-            # AdaptationConfig checks each field on its own, so a grid value
-            # that passes here passes in every combo
-            try:
-                replace(base_cfg, **{name: value})
-            except ValueError as exc:
-                raise ValueError(f"{path}: bad value in {key!r}: {exc}") from None
-        protocol[f"{name}_grid"] = tuple(doc[key])
+            check(key, base_cfg, **{name: value})
+        protocol[f"{name}_grid"] = grid
 
     specs = []
     for index, task in enumerate(need("tasks", doc["tasks"], list)):
@@ -327,6 +333,7 @@ def load_benchmark_file(path):
         quota = {}
         if "per_class" in task:
             quota["per_class"] = need(f"tasks[{index}].per_class", task["per_class"], int)
+            check(f"tasks[{index}].per_class", unset, **quota)
         elif "dslr" in paths["source_features"].lower():
             quota["per_class"] = 8  # that domain is small
         specs.append(ExperimentSpec(**paths, config=base_cfg, **{**protocol, **quota}))

@@ -111,10 +111,10 @@ class _Trial:
     exemplars and the round-1 tensor depend on the data and the config but
     on none of lam2, lam3 and n_outer, so every run that differs only in
     those shares them; the tensor is built the first time a run has
-    lam3 > 0. rounds holds (current, C_star, src_ex, record) after each
-    round of the last run, whose (lam2, lam3) is weights. A run with
-    n_outer = k reproduces the first k rounds of a longer run with the same
-    weights exactly, so these checkpoints can stand in for recomputing them.
+    lam3 > 0. rounds[k] is the AdaptResult that a run with n_outer = k + 1
+    and the last weights, (lam2, lam3), returns. That run reproduces the
+    first k + 1 rounds of any longer run with the same weights exactly, so
+    a longer run continues from the kept rounds instead of recomputing them.
     """
 
     key: object
@@ -165,38 +165,31 @@ def _timed(times, stage):
         times[stage] += time.perf_counter() - start
 
 
-def _outer_round(source, target, current, trial, cfg, round_index):
-    """One round: match the current source exemplars to the target
-    exemplars and map the whole current source through the ridge fit.
-    Round 1 takes its exemplars and tensor from the trial, computing and
-    keeping there whichever it lacks. Returns the checkpoint
-    (current, C_star, src_ex, record)."""
+def _outer_round(source, target, trial, cfg):
+    """The round after trial.rounds: match the current source exemplars to
+    the target exemplars and map the whole current source through the
+    ridge fit. Round 1 takes its exemplars and tensor from the trial: the
+    trial's first round 1 selects the exemplars there, and its first with
+    lam3 > 0 builds the tensor. Returns the AdaptResult of a run ending here."""
     t0 = time.perf_counter()
     times = dict.fromkeys(STAGES, 0.0)
-    first = round_index == 1
-    built = []  # the trial inputs this round computed
-
-    def round_input(name, build):
-        # round 1's inputs live in the trial; later rounds build their own
-        if not first:
-            return build()
-        if getattr(trial, name) is None:
-            setattr(trial, name, build())
-            built.append(name)
-        return getattr(trial, name)
+    earlier = trial.rounds[-1] if trial.rounds else None
+    round_index = len(trial.rounds) + 1
+    current = source.features.astype(float) if earlier is None else earlier.adapted
 
     if trial.tgt_ex is None:
-        # the target never moves, so its exemplars and bandwidth are fixed
+        # a new trial: the inputs that no weight changes
         with _timed(times, "exemplars"):
-            trial.tgt_ex = select_exemplars(target, cfg.eta)
+            tgt_ex = select_exemplars(target, cfg.eta)
+            src_ex = select_exemplars(current, cfg.eta, labels=source.labels)
         with _timed(times, "graphs"):
-            trial.sigma_t = sigma_heuristic(trial.tgt_ex.features)
-            trial.Dt = adjacency_matrix(trial.tgt_ex.features, trial.sigma_t)
-    tgt_ex = trial.tgt_ex
-    with _timed(times, "exemplars"):
-        src_ex = round_input(
-            "src_ex", lambda: select_exemplars(current, cfg.eta, labels=source.labels)
-        )
+            sigma_t = sigma_heuristic(tgt_ex.features)
+            Dt = adjacency_matrix(tgt_ex.features, sigma_t)
+        trial.tgt_ex, trial.src_ex, trial.sigma_t, trial.Dt = tgt_ex, src_ex, sigma_t, Dt
+    tgt_ex, src_ex = trial.tgt_ex, trial.src_ex
+    if round_index > 1:
+        with _timed(times, "exemplars"):
+            src_ex = select_exemplars(current, cfg.eta, labels=source.labels)
     if src_ex.count < 3 or tgt_ex.count < 3:
         raise ValueError(
             f"round {round_index}: need at least 3 exemplars per domain, "
@@ -212,12 +205,13 @@ def _outer_round(source, target, current, trial, cfg, round_index):
     tensor = None
     if cfg.lam3 > 0.0:
         with _timed(times, "tensor"):
-            tensor = round_input(
-                "tensor",
-                lambda: build_sparse_tensor(
+            tensor = trial.tensor if round_index == 1 else None
+            if tensor is None:
+                tensor = build_sparse_tensor(
                     src_ex.features, tgt_ex.features, seed=_round_seed(cfg.seed, round_index)
-                ),
-            )
+                )
+                if round_index == 1:
+                    trial.tensor = tensor
     groups = None
     if cfg.lam_g > 0.0:
         groups = class_index_sets(src_ex.labels, source.num_classes)
@@ -265,11 +259,16 @@ def _outer_round(source, target, current, trial, cfg, round_index):
         "col_residual": col_residual,
         "feasible": max(row_residual, col_residual) <= FEASIBILITY_TOL,
         "solver": asdict(diag),
-        "shared_inputs": first and not built,
         "stage_times": times,
         "wall_time": time.perf_counter() - t0,
     }
-    return current, C_star, src_ex, record
+    return AdaptResult(
+        adapted=current,
+        matching=C_star,
+        source_exemplars=src_ex.indices,
+        target_exemplars=tgt_ex.indices,
+        rounds=([] if earlier is None else earlier.rounds) + [record],
+    )
 
 
 def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
@@ -286,22 +285,19 @@ def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
     if target.shape[1] != source.d:
         raise ValueError("source and target feature dimensions differ")
 
-    slot = _TRIAL_SLOT.get()
-    key = None if slot is None else _trial_key(source, target, cfg)
-    trial = None if slot is None else slot[0]
-    if trial is None or trial.key != key:
-        trial = _Trial(key=key)
-        if slot is not None:
-            slot[0] = trial
+    slot = _TRIAL_SLOT.get() or [None]  # outside _reuse_rounds the trial is not kept
+    key = _trial_key(source, target, cfg)
+    if slot[0] is None or slot[0].key != key:
+        slot[0] = _Trial(key=key)
+    trial = slot[0]
     if trial.weights != (cfg.lam2, cfg.lam3):
         trial.weights = (cfg.lam2, cfg.lam3)
         trial.rounds = []
+    while len(trial.rounds) < cfg.n_outer:
+        trial.rounds.append(_outer_round(source, target, trial, cfg))
 
-    for index in range(cfg.n_outer):
-        if index == len(trial.rounds):
-            current = trial.rounds[-1][0] if trial.rounds else source.features.astype(float)
-            trial.rounds.append(_outer_round(source, target, current, trial, cfg, index + 1))
-        record = trial.rounds[index][3]
+    result = trial.rounds[cfg.n_outer - 1]
+    for record in result.rounds:
         if not record["feasible"]:
             warnings.warn(
                 f"round {record['round']}: matching breaks the {FEASIBILITY_TOL:g} "
@@ -310,13 +306,5 @@ def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    # the checkpoints may be replayed to a later call: hand out copies only
-    current, C_star, src_ex, _ = trial.rounds[cfg.n_outer - 1]
-    return AdaptResult(
-        adapted=current.copy(),
-        matching=C_star.copy(),
-        source_exemplars=src_ex.indices.copy(),
-        target_exemplars=trial.tgt_ex.indices.copy(),
-        rounds=copy.deepcopy([checkpoint[3] for checkpoint in trial.rounds[: cfg.n_outer]]),
-    )
+    # the kept rounds may be replayed to a later call: hand out a copy only
+    return copy.deepcopy(result)

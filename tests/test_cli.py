@@ -185,16 +185,23 @@ class TestBenchmarkCommand:
         ({"task_source_features": 0}, "'tasks[0].source_features' needs a string"),
         ({"task_target_labels": None}, "'tasks[0].target_labels' needs a string"),
         ({"task_name": 3}, "'tasks[0].name' needs a string"),
-        ({"lambda2_grid": []}, "lam2_grid is empty"),
+        ({"lambda2_grid": []}, "bench.json: bad value in 'lambda2_grid': lam2_grid is empty"),
         ({"config": {"seed": 3}}, "config 'seed' is derived per trial; set the top-level 'seed'"),
         ({"lambda3_grid": [0.1], "config": {"lam3": 0.0}}, "'lambda3_grid' and config 'lam3'"),
+        ({"per_class": 0}, "bench.json: bad value in 'per_class': per_class must be >= 1"),
+        ({"task_per_class": 0},
+         "bench.json: bad value in 'tasks[0].per_class': per_class must be >= 1"),
+        ({"trials": 0}, "bench.json: bad value in 'trials': trials must be >= 1"),
+        ({"target_fraction": 1},
+         "bench.json: bad value in 'target_fraction': target_fraction must lie in (0, 1)"),
     ], ids=["unknown-key", "zero-admm-iters", "ap", "str-eta", "null-trials", "scalar-grid",
             "str-int", "float-int", "bool-float", "t-per-node", "knn", "pool-factor",
             "ridge-mu", "float-trials", "float-per-class", "float-seed", "str-trials",
             "str-grid", "float-grid", "negative-grid", "list-task-per-class",
             "unknown-top-level-key", "unknown-task-key", "eta-twice", "lambda-g-twice",
             "int-path", "null-target-labels", "int-name", "empty-grid", "config-seed",
-            "grid-and-config"])
+            "grid-and-config", "zero-per-class", "zero-task-per-class", "zero-trials",
+            "whole-target-fraction"])
     def test_bad_config_is_exit_one(self, task_files, tmp_path, capsys, extra, message):
         # rejected while the spec is read, before any task runs, as an input
         # error that names the key rather than a traceback
@@ -226,6 +233,14 @@ class TestLpCheckCommand:
         assert "max |Tr(G^T C) - exact LP minimum|" in out
         worst = float(out.strip().split()[-1])
         assert worst < 0.05
+
+    def test_reports_runs_stopped_at_the_sweep_cap(self, capsys):
+        # one sweep never meets the residual stop
+        code = main(["lp-check", "--n", "3", "--trials", "4", "--seed", "0", "--admm-iters", "1"])
+        assert code == 0
+        capped, _ = capsys.readouterr().out.splitlines()
+        assert capped.startswith("admm_lp stopped at --admm-iters 1 in 4 of 4 trials;")
+        assert float(capped.split("largest exit residual ")[1].split()[0]) > 1e-6
 
     def test_oversized_n_is_exit_one(self, capsys):
         code = main(["lp-check", "--n", "9"])

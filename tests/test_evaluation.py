@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,11 +141,10 @@ class TestRunTask:
 
 def without_wall_times(rounds):
     """A deep copy of round records minus their (round, stage and solver)
-    timings and shared_inputs, which says where a round's inputs came from,
-    not what they are."""
+    timings."""
     rounds = copy.deepcopy(rounds)
     for r in rounds:
-        del r["wall_time"], r["stage_times"], r["shared_inputs"], r["solver"]["wall_time"]
+        del r["wall_time"], r["stage_times"], r["solver"]["wall_time"]
     return rounds
 
 
@@ -208,7 +208,7 @@ class TestRoundReuse:
 
     def test_each_round_is_solved_once_per_trial(self, tmp_path, monkeypatch):
         """Counts the work of 2 trials of 2 lam2 x 2 lam3 x N_T (1, 2)."""
-        solves, selections, tensors, shared = [], [], [], []
+        solves, selections, tensors = [], [], []
 
         def counting(name, fn, log, key):
             def wrapper(*args, **kwargs):
@@ -223,13 +223,6 @@ class TestRoundReuse:
                  lambda X, *a, labels=None: (labels is None, np.asarray(X).tobytes()))
         counting("build_sparse_tensor", hgmda.pipeline.build_sparse_tensor, tensors,
                  lambda Xs, Xt, **k: (Xs.tobytes(), Xt.tobytes(), k["seed"]))
-
-        def keep(source, target, cfg):
-            res = adapt(source, target, cfg)
-            shared.append([r["shared_inputs"] for r in res.rounds])
-            return res
-
-        monkeypatch.setattr(hgmda.evaluation, "adapt", keep)
         run_task(self.grid_spec(tmp_path, (1, 2), trials=2), seed=0)
         # 4 (lam2, lam3) x max N_T = 2 rounds per trial, not 4 x (1 + 2)
         assert len(solves) == 2 * 8
@@ -239,12 +232,35 @@ class TestRoundReuse:
         assert len(selections) == 2 * 6 and len(set(selections)) == len(selections)
         assert sum(is_target for is_target, _ in selections) == 2
         assert len(tensors) == 2 * 3 and len(set(tensors)) == len(tensors)
-        # the first lam2 computes round 1's inputs (the tensor with its first
-        # lam3 > 0); the second takes them from the trial
-        per_trial = [[False], [False, False], [False], [False, False],
-                     [True], [True, False], [True], [True, False]]
-        assert shared == 2 * per_trial
         assert hgmda.pipeline._TRIAL_SLOT.get() is None
+
+    def test_other_inputs_replace_the_kept_trial(self, monkeypatch):
+        """Within one scope, a call on other target rows or another eta is
+        solved, not replayed, and the trial it leaves is the one kept."""
+        solves = []
+        solve = hgmda.pipeline.cg_solve
+
+        def counting(*args, **kwargs):
+            solves.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hgmda.pipeline, "cg_solve", counting)
+        source, target = rotated_gaussian_task(n_per_class=10, seed=0)[:2]
+        cfg = AdaptationConfig(eta=0.5, lam2=0.01, lam_g=0.01, cg_iters=8, admm_iters=800)
+        # (A), (B) with other target rows, (A) with another eta, (A) again, and
+        # (A) once more, which alone finds its trial kept
+        a, b = (target, cfg), (target[1:], cfg)
+        calls = [a, b, (target, replace(cfg, eta=0.8)), a, a]
+        seen, solved = [], []
+        with hgmda.pipeline._reuse_rounds():
+            for tgt, c in calls:
+                before = len(solves)
+                res = adapt(source, tgt, c)
+                solved.append(len(solves) - before)
+                seen.append((source, tgt, c, res.adapted, res.matching, res.source_exemplars,
+                             res.target_exemplars, without_wall_times(res.rounds)))
+        assert solved == [1, 1, 1, 1, 0]
+        self.assert_match_fresh(seen)
 
     # (2, 2): a repeated N_T is handed the same kept round twice
     @pytest.mark.parametrize("n_outer_grid", [(1, 2), (2, 1), (2, 2)])
