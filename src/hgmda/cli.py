@@ -77,7 +77,7 @@ def _build_parser():
     p_lp.add_argument("--n", type=int, default=4)
     p_lp.add_argument("--trials", type=int, default=50)
     p_lp.add_argument("--seed", type=int, default=0)
-    p_lp.add_argument("--admm-iters", type=int, default=300)
+    p_lp.add_argument("--admm-iters", type=int, default=3000)
     return parser
 
 

@@ -71,33 +71,41 @@ def affinity_propagation(S):
     if n == 1:
         return np.array([0]), True
 
+    # the messages are updated in place: AS holds A + S, R_new and A_new the
+    # undamped messages (A_new first holds the clipped responsibilities)
     R = np.zeros((n, n))
     A = np.zeros((n, n))
+    AS, R_new, A_new = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    R_diag, A_diag, A_new_diag = (M.reshape(-1)[:: n + 1] for M in (R, A, A_new))
     idx = np.arange(n)
     current = None
     stable = 0
     converged = False
     for _ in range(MAX_ITERS):
         # responsibilities: r(i,k) = s(i,k) - max_{k' != k} (a(i,k') + s(i,k'))
-        AS = A + S
+        np.add(A, S, out=AS)
         top = AS.argmax(axis=1)
         first = AS[idx, top]
         AS[idx, top] = -np.inf
         second = AS.max(axis=1)
-        Rnew = S - first[:, None]
-        Rnew[idx, top] = S[idx, top] - second
-        R = DAMPING * R + (1.0 - DAMPING) * Rnew
+        np.subtract(S, first[:, None], out=R_new)
+        R_new[idx, top] = S[idx, top] - second
+        R *= DAMPING
+        R_new *= 1.0 - DAMPING
+        R += R_new
 
         # availabilities from positive responsibilities
-        Rp = np.maximum(R, 0.0)
-        Rp[idx, idx] = R[idx, idx]
-        Anew = Rp.sum(axis=0)[None, :] - Rp
-        diag = Anew[idx, idx].copy()
-        Anew = np.minimum(Anew, 0.0)
-        Anew[idx, idx] = diag
-        A = DAMPING * A + (1.0 - DAMPING) * Anew
+        np.maximum(R, 0.0, out=A_new)
+        A_new_diag[:] = R_diag
+        np.subtract(A_new.sum(axis=0), A_new, out=A_new)
+        self_availability = A_new_diag.copy()
+        np.minimum(A_new, 0.0, out=A_new)
+        A_new_diag[:] = self_availability
+        A *= DAMPING
+        A_new *= 1.0 - DAMPING
+        A += A_new
 
-        exemplars = np.flatnonzero(R[idx, idx] + A[idx, idx] > 0.0)
+        exemplars = np.flatnonzero(R_diag + A_diag > 0.0)
         key = exemplars.tobytes()
         if key == current:
             stable += 1

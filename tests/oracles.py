@@ -11,7 +11,12 @@ container so that the two can be compared bit for bit. The package's
 earlier per-triangle features (reference_triangle_feature,
 reference_features_for) and three-bincount f3 contraction
 (reference_f3_and_grad) are kept verbatim as references for the
-vectorised forms that replaced them.
+vectorised forms that replaced them. So are the Sinkhorn oracle's earlier
+loop, which range-tested the scalings at every iteration
+(reference_sinkhorn_lmo, built from the package's kernel, rounding and
+bound helpers and its oracle constants), and the earlier affinity
+propagation with freshly allocated messages
+(reference_affinity_propagation, on the package's AP settings).
 """
 
 import itertools
@@ -21,8 +26,20 @@ from types import SimpleNamespace
 import numpy as np
 
 from hgmda.data import pairwise_sq_dists
+from hgmda.exemplars import DAMPING, MAX_ITERS, STABLE_WINDOW
 from hgmda.graphs import SparseTensor3, _features_for, _sample_triples
-from hgmda.solver import GRADIENT_SCALE, RESIDUAL_CHECK_EVERY, RESIDUAL_TOL
+from hgmda.solver import (
+    GRADIENT_SCALE,
+    LMO_CHECK_EVERY,
+    LMO_EPS_FACTOR,
+    LMO_TOL_FACTOR,
+    RESIDUAL_CHECK_EVERY,
+    RESIDUAL_TOL,
+    SCALING_BOUND,
+    _c_transform_bound,
+    _log_potentials,
+    _round_to_polytope,
+)
 
 
 def central_difference_grad(fn, C, step=1e-5):
@@ -183,6 +200,98 @@ def reference_admm_lp(G, a, b, iters=300):
             if primal < RESIDUAL_TOL and np.abs(Z - Z_prev).max() < RESIDUAL_TOL:
                 break
     return np.maximum(Z, 0.0), SimpleNamespace(Z=Z, U=U, iterations=sweeps)
+
+
+def reference_sinkhorn_lmo(G, a, b, gamma, g, max_iters):
+    """The package's earlier _sinkhorn_lmo, which tested the scalings
+    against [1/SCALING_BOUND, SCALING_BOUND] at every iteration. Returns
+    (C_d, g, bound, iterations, marginal_error)."""
+    ns, nt = G.shape
+    if g is None:
+        g = np.zeros(nt)
+    scale = np.abs(G).max()
+    if scale == 0.0:
+        return np.outer(a, b) / b.sum(), g, 0.0, 0, 0.0
+    eps = LMO_EPS_FACTOR * gamma * scale / np.log(max(ns * nt, 2))
+    tol = LMO_TOL_FACTOR * gamma * ns
+    low, high = 1.0 / SCALING_BOUND, SCALING_BOUND
+    f, g, K = _log_potentials(G, g, a, b, eps)
+    u, v = np.ones(ns), np.ones(nt)
+    Kv = K.sum(axis=1)
+    iterations = 0
+    while iterations < max_iters:
+        iterations += 1
+        u_next = a / Kv
+        v_next = b / (u_next @ K)
+        if not (low <= u_next.min() and u_next.max() <= high
+                and low <= v_next.min() and v_next.max() <= high):
+            # fold the last accepted column scaling into g and restart from
+            # exact updates, which recompute f (and so absorb u) from g
+            f, g, K = _log_potentials(G, g + eps * np.log(v), a, b, eps)
+            u, v = np.ones(ns), np.ones(nt)
+            Kv = K.sum(axis=1)
+            continue
+        u, v = u_next, v_next
+        Kv = K @ v
+        if iterations % LMO_CHECK_EVERY == 0 and np.abs(u * Kv - a).sum() <= tol:
+            break
+    P = u[:, None] * K * v
+    marginal_error = float(np.abs(P.sum(axis=1) - a).sum() + np.abs(P.sum(axis=0) - b).sum())
+    bound = _c_transform_bound(G, f + eps * np.log(u), a, b)
+    return _round_to_polytope(P, a, b), g + eps * np.log(v), bound, iterations, marginal_error
+
+
+def reference_affinity_propagation(S):
+    """The package's earlier affinity_propagation, which allocated fresh
+    message matrices at every iteration. Returns (exemplar_indices,
+    converged)."""
+    n = S.shape[0]
+    if S.shape != (n, n):
+        raise ValueError("similarity matrix must be square")
+    if n == 1:
+        return np.array([0]), True
+
+    R = np.zeros((n, n))
+    A = np.zeros((n, n))
+    idx = np.arange(n)
+    current = None
+    stable = 0
+    converged = False
+    for _ in range(MAX_ITERS):
+        # responsibilities: r(i,k) = s(i,k) - max_{k' != k} (a(i,k') + s(i,k'))
+        AS = A + S
+        top = AS.argmax(axis=1)
+        first = AS[idx, top]
+        AS[idx, top] = -np.inf
+        second = AS.max(axis=1)
+        Rnew = S - first[:, None]
+        Rnew[idx, top] = S[idx, top] - second
+        R = DAMPING * R + (1.0 - DAMPING) * Rnew
+
+        # availabilities from positive responsibilities
+        Rp = np.maximum(R, 0.0)
+        Rp[idx, idx] = R[idx, idx]
+        Anew = Rp.sum(axis=0)[None, :] - Rp
+        diag = Anew[idx, idx].copy()
+        Anew = np.minimum(Anew, 0.0)
+        Anew[idx, idx] = diag
+        A = DAMPING * A + (1.0 - DAMPING) * Anew
+
+        exemplars = np.flatnonzero(R[idx, idx] + A[idx, idx] > 0.0)
+        key = exemplars.tobytes()
+        if key == current:
+            stable += 1
+            if stable >= STABLE_WINDOW:
+                converged = True
+                break
+        else:
+            current = key
+            stable = 1
+
+    if len(exemplars) == 0:
+        off = S - np.diag(np.diag(S))
+        exemplars = np.array([int(off.sum(axis=0).argmax())])
+    return exemplars, converged
 
 
 def reference_build_sparse_tensor(

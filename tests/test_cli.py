@@ -242,6 +242,15 @@ class TestLpCheckCommand:
         assert capped.startswith("admm_lp stopped at --admm-iters 1 in 4 of 4 trials;")
         assert float(capped.split("largest exit residual ")[1].split()[0]) > 1e-6
 
+    def test_default_cap_meets_the_stop_at_n_8(self, capsys):
+        # at the default --admm-iters every trial ends on its residuals, so
+        # the deviation is the solver's, not the sweep budget's
+        code = main(["lp-check", "--n", "8", "--trials", "5", "--seed", "0"])
+        assert code == 0
+        capped, deviation = capsys.readouterr().out.splitlines()
+        assert capped.startswith("admm_lp stopped at --admm-iters 3000 in 0 of 5 trials;")
+        assert float(deviation.split()[-1]) <= 1e-3
+
     def test_oversized_n_is_exit_one(self, capsys):
         code = main(["lp-check", "--n", "9"])
         assert code == 1

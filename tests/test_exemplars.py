@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgmda import exemplars
 from hgmda.data import pairwise_sq_dists
@@ -10,7 +12,7 @@ from hgmda.exemplars import (
     similarity_matrix,
 )
 
-from oracles import kmedoid_exhaustive
+from oracles import kmedoid_exhaustive, reference_affinity_propagation
 
 
 def cluster_data(seed=2, spread=0.1):
@@ -85,6 +87,36 @@ class TestAffinityPropagation:
             if converged:
                 counts.append(len(ex))
         assert counts == sorted(counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_fresh_message_reference(self, seed):
+        # the in-place message updates give the earlier loop's exemplars
+        # and convergence exactly, on data with and without tied distances
+        # and at preferences across the bisection bracket
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 41)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, d))
+        if rng.random() < 0.3:
+            X = np.round(X, 1)
+        S = similarity_matrix(X, 0.0)
+        np.fill_diagonal(S, rng.uniform(0.0, 2.0) * S.min())
+        S_before = S.copy()
+        ex, converged = affinity_propagation(S)
+        ref_ex, ref_converged = reference_affinity_propagation(S)
+        assert np.array_equal(ex, ref_ex) and ex.dtype == ref_ex.dtype
+        assert converged == ref_converged
+        assert np.array_equal(S, S_before)
+
+    @pytest.mark.parametrize("n, eta", [(40, 0.5), (120, 0.5), (30, 0.1)])
+    def test_selection_matches_fresh_message_reference(self, monkeypatch, n, eta):
+        X = np.random.default_rng(n).normal(size=(n, 10))
+        got = select_exemplars(X, eta)
+        monkeypatch.setattr(exemplars, "affinity_propagation", reference_affinity_propagation)
+        want = select_exemplars(X, eta)
+        assert np.array_equal(got.indices, want.indices)
+        assert (got.converged, got.preference, got.ap_runs) == (
+            want.converged, want.preference, want.ap_runs)
 
 
 class TestSelectExemplars:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgmda import solver
 from hgmda.objective import (
     ObjectiveContext,
     ObjectiveWeights,
@@ -22,7 +23,7 @@ from hgmda.solver import (
 )
 
 from oracles import permutation_minimum as oracle_perm_min
-from oracles import projected_gradient, reference_admm_lp
+from oracles import projected_gradient, reference_admm_lp, reference_sinkhorn_lmo
 
 
 def convex_context(rng, ns=None, nt=None, d=None):
@@ -194,7 +195,7 @@ class TestSinkhornLmo:
         G = rng.normal(size=(ns, nt)) * 10.0 ** rng.uniform(-3, 3)
         a, b = marginals(ns, nt)
         g = rng.normal(size=nt) * np.abs(G).max() if warm else None
-        C_d, g_out, bound, iterations, error = _sinkhorn_lmo(G, a, b, gamma, g, max_iters)
+        C_d, g_out, bound, iterations, error, _ = _sinkhorn_lmo(G, a, b, gamma, g, max_iters)
         assert np.abs(C_d.sum(axis=1) - a).max() <= 1e-12
         assert np.abs(C_d.sum(axis=0) - b).max() <= 1e-12
         assert C_d.min() >= 0.0
@@ -213,7 +214,7 @@ class TestSinkhornLmo:
         rng = np.random.default_rng(seed)
         G = rng.normal(size=(n, n))
         a, b = marginals(n, n)
-        C_d, _, bound, _, _ = _sinkhorn_lmo(G, a, b, gamma, None, 300)
+        C_d, _, bound, _, _, _ = _sinkhorn_lmo(G, a, b, gamma, None, 300)
         exact = oracle_perm_min(G)
         assert bound <= exact + 1e-12
         assert exact <= float(np.vdot(G, C_d)) + 1e-12
@@ -232,10 +233,88 @@ class TestSinkhornLmo:
 
     def test_zero_gradient_returns_feasible(self):
         a, b = marginals(3, 5)
-        C_d, _, bound, _, _ = _sinkhorn_lmo(np.zeros((3, 5)), a, b, 0.5, None, 300)
+        C_d, _, bound, _, _, _ = _sinkhorn_lmo(np.zeros((3, 5)), a, b, 0.5, None, 300)
         assert np.abs(C_d.sum(axis=1) - a).max() <= 1e-15
         assert np.abs(C_d.sum(axis=0) - b).max() <= 1e-15
         assert bound == 0.0
+
+
+def offset_gradient(seed, ns, nt, offset):
+    """A normal gradient plus row and column offsets of scale offset, which
+    the Sinkhorn scalings must absorb."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(ns, nt)) + offset * rng.normal(size=(ns, 1))
+            + offset * rng.normal(size=(1, nt)))
+
+
+class TestSinkhornBlocks:
+    """_sinkhorn_lmo tests the scaling range once per block of iterations;
+    its outputs must be those of the loop that tested every iteration."""
+
+    @staticmethod
+    def check_against_reference(G, a, b, gamma, g, max_iters):
+        # counts the log-domain starts, the first one and every restart
+        starts, log_potentials = [], solver._log_potentials
+
+        def counted(*args):
+            starts.append(args)
+            return log_potentials(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_log_potentials", counted)
+            out = _sinkhorn_lmo(G, a, b, gamma, g, max_iters)
+        ref = reference_sinkhorn_lmo(G, a, b, gamma, g, max_iters)
+        for got, want in zip(out[:5], ref):
+            assert np.array_equal(got, want)
+        assert out[5] == len(starts) - 1
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_per_iteration_reference(self, seed):
+        # shapes up to 40 x 100, offsets and steps down to 1e-5 that push the
+        # scalings out of range, warm starts far from the solution, and caps
+        # at any position in a block; drawn from the seed so that they spread
+        # evenly (about a third of the calls restart)
+        rng = np.random.default_rng(seed)
+        ns, nt = int(rng.integers(2, 41)), int(rng.integers(2, 101))
+        G = offset_gradient(seed, ns, nt, float(rng.choice([0.0, 10.0, 1e3])))
+        a, b = marginals(ns, nt)
+        gamma = 10.0 ** rng.uniform(-5.0, 0.0)
+        warm = rng.choice([0.0, 1.0, 1e6])
+        g = warm * np.abs(G).max() * rng.normal(size=nt) if warm else None
+        max_iters = int(rng.integers(1, 301))
+        self.check_against_reference(G, a, b, gamma, g, max_iters)
+
+    @pytest.mark.parametrize("gamma", [1e-5, 1e-4])
+    @pytest.mark.parametrize("seed, restart_at", [(0, 71), (5, 57)])
+    def test_restart_on_the_last_allowed_iteration(self, gamma, seed, restart_at):
+        # with the cap at restart_at the last allowed iteration restarts:
+        # iteration 71 is also the first of its block, 57 lies inside one
+        G = offset_gradient(seed, 6, 15, 10.0)
+        a, b = marginals(6, 15)
+        before = self.check_against_reference(G, a, b, gamma, None, restart_at - 1)
+        at = self.check_against_reference(G, a, b, gamma, None, restart_at)
+        assert before[3] == restart_at - 1 and at[3] == restart_at
+        assert at[5] == before[5] + 1
+
+    @pytest.mark.parametrize("max_iters", [60, 65, 300])
+    def test_out_of_range_inside_a_block(self, max_iters):
+        # the scalings leave the range at iteration 57, so the rest of the
+        # block 51-60 runs unchecked and is dropped; any warning from those
+        # dropped iterates would fail the test
+        G = offset_gradient(5, 6, 15, 10.0)
+        a, b = marginals(6, 15)
+        out = self.check_against_reference(G, a, b, 1e-5, None, max_iters)
+        assert out[5] >= 1
+
+    def test_stops_on_schedule_after_a_restart(self):
+        # a restart inside a block moves no stopping test: the run still
+        # stops at a multiple of LMO_CHECK_EVERY, here 800
+        G = offset_gradient(0, 6, 15, 0.0)
+        a, b = marginals(6, 15)
+        out = self.check_against_reference(G, a, b, 0.1, None, 2000)
+        assert out[5] >= 1 and out[3] == 800
 
 
 class TestCgSolve:
@@ -331,13 +410,14 @@ class TestCgSolve:
         assert len(diag.gap_trace) == 5
         assert len(diag.row_residuals) == 5
         assert len(diag.lp_iterations) == 5
+        assert len(diag.lp_restarts) == 5
         assert len(diag.lp_marginal_errors) == 5
         assert diag.final_gap == diag.gap_trace[-1]
         assert diag.wall_time > 0.0
         d = asdict(diag)
         assert set(d) == {
             "objective_trace", "gap_trace", "row_residuals", "col_residuals",
-            "min_entries", "lp_iterations", "lp_marginal_errors",
+            "min_entries", "lp_iterations", "lp_restarts", "lp_marginal_errors",
             "final_gap", "wall_time",
         }
 
@@ -360,8 +440,8 @@ class TestCgSolve:
         _, longer = cg_solve(ctx, w, cg_iters=steps + 1, admm_iters=300)
         assert ctx.tensor.m > 0
         for name in (
-            "objective_trace", "gap_trace", "lp_iterations", "lp_marginal_errors",
-            "row_residuals", "col_residuals", "min_entries",
+            "objective_trace", "gap_trace", "lp_iterations", "lp_restarts",
+            "lp_marginal_errors", "row_residuals", "col_residuals", "min_entries",
         ):
             assert getattr(short, name) == getattr(longer, name)[: steps + 1], name
         assert short.final_gap == longer.gap_trace[steps]
