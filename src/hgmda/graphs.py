@@ -18,10 +18,11 @@ The sample sizes are fixed parts of the method, module constants that
 build_sparse_tensor reads when it is called and takes no argument for:
 T_PER_NODE source triangles through each source node, a pool of
 POOL_FACTOR * n_t target triangles, and the KNN nearest pool triangles kept
-per source triangle. The triangles are drawn one at a time, on purpose:
-drawing them in one call would change the RNG stream and so the tensor.
-Their features are then computed in one vectorised pass over all sampled
-triangles, in blocks of FEATURE_BLOCK gathered floats.
+per source triangle. Each generator (one per source node, one for the pool)
+draws all of its triangles in one call, and they are the triangles that one
+rng.choice call per triangle gave, so the tensor does not depend on how they
+are drawn. Their features are then computed in one vectorised pass over all
+sampled triangles, in blocks of FEATURE_BLOCK gathered floats.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class SparseTensor3:
     is one entry, stored once with p1 < p2 < p3 and sorted by that triple;
     it carries the value exp(-gamma * ||f_source - f_target||^2) in (0, 1].
     The full symmetric tensor holds the same value at all 6 permutations of
-    (p1, p2, p3), which the stored entries stand for.
+    (p1, p2, p3), which the stored entries stand for. A pair index outside
+    [0, ns * nt) is rejected here, so the contraction need not check them.
     """
 
     p1: np.ndarray
@@ -107,6 +109,13 @@ class SparseTensor3:
     gamma: float
     ns: int
     nt: int
+
+    def __post_init__(self):
+        n = self.ns * self.nt
+        for name in ("p1", "p2", "p3"):
+            p = getattr(self, name)
+            if len(p) and (p.min() < 0 or p.max() >= n):
+                raise ValueError(f"{name} holds a pair index outside [0, ns * nt)")
 
     @property
     def m(self):
@@ -121,15 +130,39 @@ class SparseTensor3:
 
 
 def _sample_triples(rng, n, count, anchor=None):
-    """Sample index triples (anchored at a fixed first vertex if given)."""
-    triples = np.empty((count, 3), dtype=int)
-    for row in range(count):
-        if anchor is None:
-            triples[row] = rng.choice(n, size=3, replace=False)
-        else:
-            others = rng.choice(n - 1, size=2, replace=False)
-            others = np.where(others >= anchor, others + 1, others)
-            triples[row] = (anchor, others[0], others[1])
+    """count index triples of distinct vertices out of n, each uniform over
+    the ordered triples (over those starting at anchor, if given), drawn in
+    one rng.integers call.
+
+    The triples are the ones count calls of rng.choice(n, 3, replace=False)
+    would give, one per row (of rng.choice(n - 1, 2, replace=False), picks
+    from anchor up shifted by one, when anchored), and rng ends in the same
+    state. For so few picks choice runs Floyd's algorithm (Bentley & Floyd,
+    "A sample of brilliance", CACM 1987): pick s of size is a draw below
+    m - size + 1 + s, replaced by m - size + s when it repeats an earlier
+    pick, and a Fisher-Yates shuffle then swaps pick i with a draw below
+    i + 1, for i = size - 1 down to 1. How many draws a row takes never
+    depends on their values, so all rows' draws come from one call and the
+    clash rule and the swaps run on whole columns.
+    """
+    size = 3 if anchor is None else 2
+    m = n if anchor is None else n - 1
+    highs = np.concatenate((np.arange(m - size + 1, m + 1), np.arange(size, 1, -1)))
+    draws = rng.integers(0, np.tile(highs, count)).reshape(count, len(highs))
+    picks = draws[:, :size]
+    for s in range(1, size):
+        clash = (picks[:, :s] == picks[:, s : s + 1]).any(axis=1)
+        picks[clash, s] = m - size + s
+    rows = np.arange(count)
+    for i, swap in zip(range(size - 1, 0, -1), draws[:, size:].T):
+        held = picks[rows, swap]
+        picks[rows, swap] = picks[:, i]
+        picks[:, i] = held
+    if anchor is None:
+        return np.ascontiguousarray(picks)
+    triples = np.empty((count, 3), dtype=draws.dtype)
+    triples[:, 0] = anchor
+    triples[:, 1:] = picks + (picks >= anchor)
     return triples
 
 
@@ -154,11 +187,13 @@ def _features_for(X, triples):
 
 def _nearest_columns(d2, k):
     """Columns of the k smallest entries of each row of d2, nearest first,
-    ties to the lower column: the first k columns of a stable argsort.
+    ties to the lower column: the first k columns of a stable argsort; and
+    those entries, in the same order.
 
     Partitioning at the k-th smallest value finds the kept set without
-    sorting whole rows; only the k kept columns are then sorted. Needs
-    1 <= k <= the number of columns.
+    sorting whole rows. Only the k kept entries are then sorted, by the
+    faster unstable sort, and sorted again stably in the rows where two of
+    them tie. Needs 1 <= k <= the number of columns.
     """
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
     take = d2 <= kth
@@ -169,9 +204,18 @@ def _nearest_columns(d2, k):
         ties = d2[over] == kth[over]
         room = k - (d2[over] < kth[over]).sum(axis=1, keepdims=True)
         take[over] &= ~ties | (np.cumsum(ties, axis=1) <= room)
-    cols = np.nonzero(take)[1].reshape(len(d2), k)
-    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
+    # each row keeps exactly k columns, in ascending order: its flat
+    # positions less its offset
+    cols = np.flatnonzero(take).reshape(len(d2), k)
+    cols -= np.arange(0, d2.size, d2.shape[1])[:, None]
+    near = np.take_along_axis(d2, cols, axis=1)
+    order = np.argsort(near, axis=1)
+    dists = np.take_along_axis(near, order, axis=1)
+    tied = np.flatnonzero((dists[:, 1:] == dists[:, :-1]).any(axis=1))
+    if len(tied):
+        order[tied] = np.argsort(near[tied], axis=1, kind="stable")
+        dists[tied] = np.take_along_axis(near[tied], order[tied], axis=1)
+    return np.take_along_axis(cols, order, axis=1), dists
 
 
 def build_sparse_tensor(Xs, Xt, seed=0):
@@ -211,20 +255,38 @@ def build_sparse_tensor(Xs, Xt, seed=0):
     k = min(KNN, len(pool))
 
     # per-node chunks keep the knn distance matrices small; each candidate
-    # is kept only as the int64 key of its ascending pair indices
-    key_parts = []
-    d2_parts = []
+    # is kept only as its distance and the int64 key of its ascending pair
+    # indices, written straight into its slice of the candidate arrays
+    total = k * sum(len(tri) for tri, _ in chunks)
+    cand_d2 = np.empty(total)
+    keys = np.empty(total, dtype=np.int64)
+    pool_cols = pool.T.copy()
+    # a block of pair indices per slot, then a spare for the sorting network
+    work = np.empty((4, max(len(tri) for tri, _ in chunks), k), dtype=np.int64)
+    end = 0
     for tri, feats in chunks:
         d2 = pairwise_sq_dists(feats, pool_feats)
         # nearest pool triangles first, ties to the one sampled earlier
-        order = _nearest_columns(d2, k)
-        d2_parts.append(np.take_along_axis(d2, order, axis=1).ravel())
-        pairs = (tri[:, None, :] * nt + pool[order]).reshape(-1, 3)
-        pairs.sort(axis=1)
-        key_parts.append((pairs[:, 0] * N + pairs[:, 1]) * N + pairs[:, 2])
-    cand_d2 = np.concatenate(d2_parts)
-    keys = np.concatenate(key_parts)
-    del d2_parts, key_parts
+        cols, near = _nearest_columns(d2, k)
+        start, end = end, end + cols.size
+        cand_d2[start:end] = near.ravel()
+        a, b, c, lo = work[:, : len(tri)]
+        for slot, pair in enumerate((a, b, c)):
+            # cols is in range: mode="wrap" skips the bounds check and its copy
+            pool_cols[slot].take(cols, out=pair, mode="wrap")
+            pair += tri[:, slot, None] * nt
+        # a min/max network puts each candidate's pair indices in order:
+        # lo <= b <= c
+        np.minimum(a, b, out=lo)
+        np.maximum(a, b, out=b)
+        np.minimum(b, c, out=a)
+        np.maximum(b, c, out=c)
+        np.maximum(lo, a, out=b)
+        np.minimum(lo, a, out=lo)
+        lo *= N
+        lo += b
+        lo *= N
+        np.add(lo, c, out=keys[start:end].reshape(cols.shape))
 
     mean_sq = float(cand_d2.mean())
     gamma = 1.0 if mean_sq == 0.0 else 1.0 / mean_sq

@@ -127,9 +127,11 @@ def f3_and_grad(C, ctx):
         block = slice(b0, b0 + F3_BLOCK)
         p1, p2, p3, v = H.p1[block], H.p2[block], H.p3[block], H.values[block]
         w1, w2, w3, w12 = work[:, : len(v)]
-        c.take(p1, out=w1)
-        c.take(p2, out=w2)
-        c.take(p3, out=w3)
+        # SparseTensor3 holds its indices in range, so the gathers need no
+        # bounds check (mode="raise" would also copy each work array)
+        c.take(p1, out=w1, mode="wrap")
+        c.take(p2, out=w2, mode="wrap")
+        c.take(p3, out=w3, mode="wrap")
         w1 *= v  # v w1
         g += np.bincount(p3, weights=np.multiply(w1, w2, out=w12), minlength=n)
         w1 *= w3  # v w1 w3

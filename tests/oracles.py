@@ -6,9 +6,10 @@ projection methods. Tests compare package output against these. There are
 exceptions. reference_admm_lp takes the package's working gradient
 magnitude and stopping constants so that the two can be compared sweep for
 sweep. reference_build_sparse_tensor, the package's earlier full-sort
-tensor build, shares its triangle sampling, triangle features and tensor
-container so that the two can be compared bit for bit. The package's
-earlier per-triangle features (reference_triangle_feature,
+tensor build, shares its triangle features and tensor container so that
+the two can be compared bit for bit. The package's earlier triangle
+sampling, one rng.choice call per triangle (reference_sample_triples),
+per-triangle features (reference_triangle_feature,
 reference_features_for) and three-bincount f3 contraction
 (reference_f3_and_grad) are kept verbatim as references for the
 vectorised forms that replaced them. So are the Sinkhorn oracle's earlier
@@ -27,7 +28,7 @@ import numpy as np
 
 from hgmda.data import pairwise_sq_dists
 from hgmda.exemplars import DAMPING, MAX_ITERS, STABLE_WINDOW
-from hgmda.graphs import SparseTensor3, _features_for, _sample_triples
+from hgmda.graphs import SparseTensor3, _features_for
 from hgmda.solver import (
     GRADIENT_SCALE,
     LMO_CHECK_EVERY,
@@ -294,6 +295,22 @@ def reference_affinity_propagation(S):
     return exemplars, converged
 
 
+def reference_sample_triples(rng, n, count, anchor=None):
+    """The package's earlier _sample_triples, one rng.choice call per row.
+
+    Sample index triples (anchored at a fixed first vertex if given).
+    """
+    triples = np.empty((count, 3), dtype=int)
+    for row in range(count):
+        if anchor is None:
+            triples[row] = rng.choice(n, size=3, replace=False)
+        else:
+            others = rng.choice(n - 1, size=2, replace=False)
+            others = np.where(others >= anchor, others + 1, others)
+            triples[row] = (anchor, others[0], others[1])
+    return triples
+
+
 def reference_build_sparse_tensor(
     Xs, Xt, t_per_node=50, knn=300, pool_factor=20, seed=0, exhaustive=False
 ):
@@ -301,10 +318,11 @@ def reference_build_sparse_tensor(
     each source triangle's nearest target triangles by partial selection:
     a full stable argsort of every distance row, and the candidate pair
     indices kept as an (m, 3) array. The package's build must return the
-    same entries, values and gamma bit for bit. It computes the triangle
-    features with the package's own _features_for, so the bit-for-bit
-    comparison checks the nearest-triangle selection and the dedup; the
-    features themselves are checked against reference_features_for.
+    same entries, values and gamma bit for bit. It samples the triangles
+    with reference_sample_triples and computes their features with the
+    package's own _features_for, so the bit-for-bit comparison checks the
+    sampling, the nearest-triangle selection and the dedup; the features
+    themselves are checked against reference_features_for.
 
     Sample triangle correspondences and store their similarity values.
 
@@ -331,7 +349,7 @@ def reference_build_sparse_tensor(
         root = np.random.SeedSequence(seed)
         children = root.spawn(ns + 1)
         pool_rng = np.random.default_rng(children[ns])
-        pool = _sample_triples(pool_rng, nt, pool_factor * nt)
+        pool = reference_sample_triples(pool_rng, nt, pool_factor * nt)
     pool, pool_feats = _features_for(Xt, pool)
     if len(pool) == 0:
         raise ValueError("degenerate target domain: no valid triangles")
@@ -343,7 +361,10 @@ def reference_build_sparse_tensor(
     else:
         chunks = [
             _features_for(
-                Xs, _sample_triples(np.random.default_rng(children[i]), ns, t_per_node, anchor=i)
+                Xs,
+                reference_sample_triples(
+                    np.random.default_rng(children[i]), ns, t_per_node, anchor=i
+                ),
             )
             for i in range(ns)
         ]

@@ -64,6 +64,26 @@ class TestAdaptCommand:
         assert report["config"]["admm_iters"] == 400
         assert "wrote" in capsys.readouterr().out
 
+    def test_third_order_term(self, task_files, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main([
+            "adapt",
+            "--source-features", task_files["source_features"],
+            "--source-labels", task_files["source_labels"],
+            "--target-features", task_files["target_features"],
+            "--lambda3", "0.01",
+            "--cg-iters", "5",
+            "--admm-iters", "400",
+            "--out", str(out),
+        ])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["lam3"] == 0.01
+        (record,) = report["rounds"]
+        assert record["tensor_entries"] > 0
+        assert record["feasible"] is True
+        capsys.readouterr()
+
     def test_missing_input_is_exit_one(self, task_files, tmp_path, capsys):
         code = main([
             "adapt",

@@ -13,13 +13,19 @@ from hgmda.graphs import (
     T_PER_NODE,
     _features_for,
     _nearest_columns,
+    _sample_triples,
     _triangle_sines,
     adjacency_matrix,
     build_sparse_tensor,
     sigma_heuristic,
 )
 
-from oracles import reference_build_sparse_tensor, reference_features_for, triangle_sines
+from oracles import (
+    reference_build_sparse_tensor,
+    reference_features_for,
+    reference_sample_triples,
+    triangle_sines,
+)
 
 
 def sampled_tensor(Xs, Xt, t_per_node=T_PER_NODE, knn=KNN, pool_factor=POOL_FACTOR, seed=0):
@@ -300,7 +306,51 @@ class TestMatchesFullSortReference:
         # values from {0, 1, 2}: every row ties at its k-th value
         d2 = np.random.default_rng(seed).integers(0, 3, size=(30, 10)).astype(float)
         want = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(_nearest_columns(d2, k), want)
+        cols, dists = _nearest_columns(d2, k)
+        assert np.array_equal(cols, want)
+        assert np.array_equal(dists, np.take_along_axis(d2, want, axis=1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nearest_columns_without_ties(self, seed):
+        # distinct values: no row takes the stable re-sort
+        d2 = np.random.default_rng(seed).permutation(400).reshape(20, 20) / 7.0
+        want = np.argsort(d2, axis=1, kind="stable")[:, :8]
+        cols, dists = _nearest_columns(d2, 8)
+        assert np.array_equal(cols, want)
+        assert np.array_equal(dists, np.take_along_axis(d2, want, axis=1))
+
+
+class TestSampleTriples:
+    """One rng.integers call gives the triples that one rng.choice call per
+    row gave, and leaves the generator in the same state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=3, max_value=2000),
+        count=st.integers(min_value=1, max_value=200),
+        anchored=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_one_choice_call_per_row(self, seed, n, count, anchored, data):
+        anchor = data.draw(st.integers(min_value=0, max_value=n - 1)) if anchored else None
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_triples(got_rng, n, count, anchor=anchor)
+        want = reference_sample_triples(want_rng, n, count, anchor=anchor)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("anchor", [None, 0, 1, 2])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_smallest_population(self, seed, anchor):
+        # n = 3: anchored, the first draw's range is 0..0 and takes no bits
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_triples(got_rng, 3, 7, anchor=anchor)
+        want = reference_sample_triples(want_rng, 3, 7, anchor=anchor)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert np.array_equal(np.sort(got, axis=1), np.tile([0, 1, 2], (7, 1)))
 
 
 def feature_case(case):

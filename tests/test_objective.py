@@ -227,6 +227,29 @@ class TestF3MatchesBincountReference:
         assert first[0] == again[0] and np.array_equal(first[1], again[1])
 
 
+class TestTensorIndexRange:
+    """A 3 x 4 tensor takes pair indices 0..11 only. A negative index used
+    to pass: the f3 gathers and np.add.at wrap it to the last pair."""
+
+    @pytest.mark.parametrize("bad", [-1, 12])
+    @pytest.mark.parametrize("slot", ["p1", "p2", "p3"])
+    def test_rejected_at_construction(self, slot, bad):
+        indices = dict(p1=np.array([0, 2]), p2=np.array([1, 5]), p3=np.array([4, 11]))
+        indices[slot] = indices[slot].copy()
+        indices[slot][1] = bad
+        with pytest.raises(ValueError, match=f"{slot} holds a pair index outside"):
+            SparseTensor3(**indices, values=np.ones(2), gamma=1.0, ns=3, nt=4)
+
+    def test_bounds_and_empty_accepted(self):
+        tensor = SparseTensor3(
+            p1=np.array([0]), p2=np.array([1]), p3=np.array([11]),
+            values=np.ones(1), gamma=1.0, ns=3, nt=4,
+        )
+        assert tensor.m == 1
+        empty = np.array([], dtype=np.int64)
+        assert SparseTensor3(empty, empty, empty, np.ones(0), 1.0, 3, 4).m == 0
+
+
 class TestFg:
     def test_identity_unit_groups(self):
         rng = np.random.default_rng(10)
