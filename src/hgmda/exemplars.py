@@ -23,6 +23,7 @@ import numpy as np
 
 from .data import pairwise_sq_dists
 
+# affinity_propagation damps as (old + new) * DAMPING, which needs 0.5
 DAMPING = 0.5
 MAX_ITERS = 500
 STABLE_WINDOW = 50
@@ -57,6 +58,16 @@ def similarity_matrix(X, p):
     return S
 
 
+def _aligned_zeros(n):
+    """An (n, n) float array of zeros whose data starts on a 64-byte
+    boundary. numpy's elementwise loops store whole SIMD vectors, and stores
+    that straddle cache lines made each op writing a (120, 120) array about
+    twice as slow on an AVX-512 machine; numpy itself aligns to 16 bytes."""
+    buf = np.zeros(n * n + 7)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start : start + n * n].reshape(n, n)
+
+
 def affinity_propagation(S):
     """Responsibility/availability message passing.
 
@@ -64,6 +75,34 @@ def affinity_propagation(S):
     positive evidence r(k,k) + a(k,k); if none emerges, falls back to the
     single point with the largest summed similarity so the result is never
     empty.
+
+    An iteration makes 22 numpy calls, 13 of them over (n, n) arrays, and
+    allocates nothing: every array it writes is preallocated, the (n, n)
+    ones on 64-byte boundaries. Each step gives the bits of the plain form
+    (reference_affinity_propagation in tests/oracles.py):
+
+    - The largest and second-largest a(i,k') + s(i,k') of each row are read
+      at its argmax by a flat take, before and after the largest is set to
+      -inf. A row's value at its argmax is its max, NaN included, and a
+      second argmax plus a take costs less than half of max(axis=1).
+    - The entries at each row's argmax are read and written by flat
+      take/put at argmax + row offset, the same entries as [rows, argmax].
+    - The new responsibilities are s less a matrix that holds each row's
+      largest a + s, and its second largest at the largest's column: the
+      same subtractions as s less the largest with the argmax entries
+      redone, in one plain subtraction instead of a slower broadcast one.
+    - Damping is (old + new) * DAMPING, in place, which is
+      DAMPING * old + (1 - DAMPING) * new because DAMPING = 0.5. It is so
+      to the bit because halving is exact and commutes with rounding a
+      sum, unless a message is nonzero and below 2**-1021 in magnitude,
+      where halving rounds, or old + new overflows.
+    - The responsibilities are clipped below, and the availabilities
+      above, at zero by an elementwise max and min with a matrix that is
+      zero off the diagonal and -inf or +inf on it, which leaves r(k,k)
+      and a(k,k) as they are instead of writing them back.
+    - A run is stable while its evidence mask, the bytes of
+      r(k,k) + a(k,k) > 0, repeats: the same mask is the same exemplar set,
+      whose indices are taken once, after the loop.
     """
     n = S.shape[0]
     if S.shape != (n, n):
@@ -71,42 +110,54 @@ def affinity_propagation(S):
     if n == 1:
         return np.array([0]), True
 
-    # the messages are updated in place: AS holds A + S, R_new and A_new the
-    # undamped messages (A_new first holds the clipped responsibilities)
-    R = np.zeros((n, n))
-    A = np.zeros((n, n))
-    AS, R_new, A_new = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
-    R_diag, A_diag, A_new_diag = (M.reshape(-1)[:: n + 1] for M in (R, A, A_new))
-    idx = np.arange(n)
+    # AS holds A + S and then the undamped responsibilities, A_new the
+    # clipped responsibilities and then the undamped availabilities; top and
+    # runner_up the flat positions of each row's largest and second-largest
+    # A + S
+    R, A, AS, A_new, low, high = (_aligned_zeros(n) for _ in range(6))
+    AS_flat = AS.reshape(-1)
+    R_diag, A_diag, low_diag, high_diag = (M.reshape(-1)[:: n + 1] for M in (R, A, low, high))
+    # bounds that clip r(i,k) below and a(i,k) above at zero off the
+    # diagonal and leave r(k,k) and a(k,k) as they are
+    low_diag[:], high_diag[:] = -np.inf, np.inf
+    offsets = np.arange(0, n * n, n)
+    top, runner_up = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    first, second, col_sums, evidence = (np.empty(n) for _ in range(4))
+    first_col = first[:, None]
+    mask = np.empty(n, dtype=bool)
     current = None
     stable = 0
     converged = False
     for _ in range(MAX_ITERS):
         # responsibilities: r(i,k) = s(i,k) - max_{k' != k} (a(i,k') + s(i,k'))
         np.add(A, S, out=AS)
-        top = AS.argmax(axis=1)
-        first = AS[idx, top]
-        AS[idx, top] = -np.inf
-        second = AS.max(axis=1)
-        np.subtract(S, first[:, None], out=R_new)
-        R_new[idx, top] = S[idx, top] - second
+        AS.argmax(axis=1, out=top)
+        top += offsets
+        # the positions are in range: mode="wrap" skips the bounds check
+        AS_flat.take(top, out=first, mode="wrap")
+        AS_flat.put(top, -np.inf)
+        AS.argmax(axis=1, out=runner_up)
+        runner_up += offsets
+        AS_flat.take(runner_up, out=second, mode="wrap")
+        # what each row subtracts from s: its largest a + s, and the second
+        # largest at the largest's own column
+        np.copyto(AS, first_col)
+        AS_flat.put(top, second)
+        np.subtract(S, AS, out=AS)
+        R += AS
         R *= DAMPING
-        R_new *= 1.0 - DAMPING
-        R += R_new
 
         # availabilities from positive responsibilities
-        np.maximum(R, 0.0, out=A_new)
-        A_new_diag[:] = R_diag
-        np.subtract(A_new.sum(axis=0), A_new, out=A_new)
-        self_availability = A_new_diag.copy()
-        np.minimum(A_new, 0.0, out=A_new)
-        A_new_diag[:] = self_availability
-        A *= DAMPING
-        A_new *= 1.0 - DAMPING
+        np.maximum(R, low, out=A_new)
+        A_new.sum(axis=0, out=col_sums)
+        np.subtract(col_sums, A_new, out=A_new)
+        np.minimum(A_new, high, out=A_new)
         A += A_new
+        A *= DAMPING
 
-        exemplars = np.flatnonzero(R_diag + A_diag > 0.0)
-        key = exemplars.tobytes()
+        np.add(R_diag, A_diag, out=evidence)
+        np.greater(evidence, 0.0, out=mask)
+        key = mask.tobytes()
         if key == current:
             stable += 1
             if stable >= STABLE_WINDOW:
@@ -116,6 +167,7 @@ def affinity_propagation(S):
             current = key
             stable = 1
 
+    exemplars = np.flatnonzero(mask)
     if len(exemplars) == 0:
         off = S - np.diag(np.diag(S))
         exemplars = np.array([int(off.sum(axis=0).argmax())])

@@ -192,8 +192,11 @@ def _nearest_columns(d2, k):
 
     Partitioning at the k-th smallest value finds the kept set without
     sorting whole rows. Only the k kept entries are then sorted, by the
-    faster unstable sort, and sorted again stably in the rows where two of
-    them tie. Needs 1 <= k <= the number of columns.
+    faster unstable sort. In the rows where two of them tie, the sorted
+    positions are sorted again on run * k + position, run numbering the
+    runs of equal sorted distances: that puts each run's positions in
+    ascending order, as a stable sort does, with one sort of distinct keys.
+    Needs 1 <= k <= the number of columns.
     """
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
     take = d2 <= kth
@@ -211,10 +214,15 @@ def _nearest_columns(d2, k):
     near = np.take_along_axis(d2, cols, axis=1)
     order = np.argsort(near, axis=1)
     dists = np.take_along_axis(near, order, axis=1)
-    tied = np.flatnonzero((dists[:, 1:] == dists[:, :-1]).any(axis=1))
+    steps = dists[:, 1:] != dists[:, :-1]
+    tied = np.flatnonzero(~steps.all(axis=1))
     if len(tied):
-        order[tied] = np.argsort(near[tied], axis=1, kind="stable")
-        dists[tied] = np.take_along_axis(near[tied], order[tied], axis=1)
+        keys = np.zeros((len(tied), k), dtype=np.int64)
+        np.cumsum(steps[tied], axis=1, out=keys[:, 1:])
+        keys *= k
+        keys += order[tied]
+        keys.sort(axis=1)
+        order[tied] = keys % k
     return np.take_along_axis(cols, order, axis=1), dists
 
 

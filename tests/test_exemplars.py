@@ -11,6 +11,7 @@ from hgmda.exemplars import (
     select_exemplars,
     similarity_matrix,
 )
+from hgmda.synthetic import rotated_gaussian_task
 
 from oracles import kmedoid_exhaustive, reference_affinity_propagation
 
@@ -95,7 +96,7 @@ class TestAffinityPropagation:
         # and convergence exactly, on data with and without tied distances
         # and at preferences across the bisection bracket
         rng = np.random.default_rng(seed)
-        n, d = int(rng.integers(1, 41)), int(rng.integers(1, 5))
+        n, d = int(rng.integers(1, 131)), int(rng.integers(1, 5))
         X = rng.normal(size=(n, d))
         if rng.random() < 0.3:
             X = np.round(X, 1)
@@ -107,6 +108,43 @@ class TestAffinityPropagation:
         assert np.array_equal(ex, ref_ex) and ex.dtype == ref_ex.dtype
         assert converged == ref_converged
         assert np.array_equal(S, S_before)
+
+    @staticmethod
+    def no_convergence_case():
+        # a preference the bisection tries on the 120-point rotated target:
+        # the exemplar set is still changing at MAX_ITERS
+        _, X, _ = rotated_gaussian_task(n_per_class=60, seed=4)
+        S = similarity_matrix(X, 0.0)
+        np.fill_diagonal(S, 3.0 / 8192.0 * S.min())
+        return S
+
+    @staticmethod
+    def zero_preference_case():
+        # distinct points at preference 0: every point is its own exemplar
+        return similarity_matrix(np.random.default_rng(7).normal(size=(50, 3)), 0.0)
+
+    @staticmethod
+    def tied_rows_case():
+        # each point three times: every row's largest a + s ties between
+        # the point's other two copies, ties that argmax settles
+        X = np.repeat(np.random.default_rng(8).normal(size=(20, 2)), 3, axis=0)
+        S = similarity_matrix(X, 0.0)
+        np.fill_diagonal(S, 0.5 * S.min())
+        assert np.all((S == S.max(axis=1, keepdims=True)).sum(axis=1) == 2)
+        return S
+
+    @pytest.mark.parametrize("case, converges, count", [
+        ("no_convergence_case", False, None),
+        ("zero_preference_case", True, 50),
+        ("tied_rows_case", True, None),
+    ])
+    def test_matches_fresh_message_reference_on_fixed_cases(self, case, converges, count):
+        S = getattr(self, case)()
+        ex, converged = affinity_propagation(S)
+        ref_ex, ref_converged = reference_affinity_propagation(S)
+        assert np.array_equal(ex, ref_ex) and ex.dtype == ref_ex.dtype
+        assert converged == ref_converged == converges
+        assert count is None or len(ex) == count
 
     @pytest.mark.parametrize("n, eta", [(40, 0.5), (120, 0.5), (30, 0.1)])
     def test_selection_matches_fresh_message_reference(self, monkeypatch, n, eta):

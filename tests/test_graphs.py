@@ -310,6 +310,19 @@ class TestMatchesFullSortReference:
         assert np.array_equal(cols, want)
         assert np.array_equal(dists, np.take_along_axis(d2, want, axis=1))
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_nearest_columns_at_the_build_width(self, seed):
+        # the build keeps 300 of 1,600 pool triangles, and a pool that drew
+        # a triangle twice has two equal columns: most rows tie somewhere
+        # among the kept distances, many times over
+        rng = np.random.default_rng(seed)
+        d2 = rng.random((40, 1200))
+        d2 = np.hstack([d2, d2[:, rng.integers(0, 1200, size=400)]])[:, rng.permutation(1600)]
+        want = np.argsort(d2, axis=1, kind="stable")[:, :300]
+        cols, dists = _nearest_columns(d2, 300)
+        assert np.array_equal(cols, want)
+        assert np.array_equal(dists, np.take_along_axis(d2, want, axis=1))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_nearest_columns_without_ties(self, seed):
         # distinct values: no row takes the stable re-sort

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hgmda import pipeline
+from hgmda import exemplars, pipeline, solver
 from hgmda.data import LabeledDataset
 from hgmda.evaluation import accuracy, knn_predict
 from hgmda.objective import marginals
@@ -16,6 +16,8 @@ from hgmda.pipeline import (
     fit_ridge_mapping,
 )
 from hgmda.synthetic import rotated_gaussian_task
+
+from oracles import reference_affinity_propagation, reference_sinkhorn_lmo
 
 
 def small_source(seed=3, n_per_class=5, d=3, scale=2.0):
@@ -262,6 +264,25 @@ class TestAdaptLoop:
         res = adapt(src, Xt, cfg)
         assert res.rounds[0]["tensor_entries"] > 0
         assert np.all(np.isfinite(res.adapted))
+
+    def test_matches_the_reference_message_loops(self, monkeypatch):
+        # with AP exemplars, the tensor term and a second round, adapt gives
+        # the same bits when AP and the Sinkhorn oracle run the plain loops
+        # they replaced
+        src, Xt, _ = rotated_gaussian_task(n_per_class=20, seed=2)
+        cfg = AdaptationConfig(
+            eta=0.5, lam2=0.01, lam3=0.01, lam_g=0.01, n_outer=2, cg_iters=5, seed=3,
+        )
+        got = adapt(src, Xt, cfg)
+        monkeypatch.setattr(exemplars, "affinity_propagation", reference_affinity_propagation)
+        monkeypatch.setattr(
+            solver, "_sinkhorn_lmo", lambda *args: (*reference_sinkhorn_lmo(*args), 0)
+        )
+        want = adapt(src, Xt, cfg)
+        assert got.rounds[0]["tensor_entries"] > 0
+        assert len(got.source_exemplars) < src.n and len(got.target_exemplars) < len(Xt)
+        for name in ("adapted", "matching", "source_exemplars", "target_exemplars"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_requires_three_exemplars(self):
         src = LabeledDataset(
