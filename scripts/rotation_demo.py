@@ -12,6 +12,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hgmda.data import write_features
@@ -40,10 +42,8 @@ def main(argv=None):
         tmp = Path(tmp)
         write_features(tmp / "source_X.csv", source.features)
         write_features(tmp / "target_X.csv", target_X)
-        with open(tmp / "source_y.csv", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(str(v) for v in source.labels) + "\n")
-        with open(tmp / "target_y.csv", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(str(v) for v in target_y) + "\n")
+        np.savetxt(tmp / "source_y.csv", source.labels, fmt="%d")
+        np.savetxt(tmp / "target_y.csv", target_y, fmt="%d")
 
         spec = ExperimentSpec(
             name=f"rot{args.rotation:g}",

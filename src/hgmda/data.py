@@ -1,7 +1,8 @@
 """Dataset types, CSV ingestion, and class-index bookkeeping.
 
 Feature files are headerless CSV, one sample per row. Label files hold one
-integer per line with class ids contiguous from 1. Both loaders report
+integer per line with class ids contiguous from 1. Both loaders skip a
+leading UTF-8 byte-order mark, as spreadsheet exports write, and report
 problems with the offending line number.
 """
 
@@ -18,7 +19,7 @@ class NonFiniteError(RuntimeError):
 
 def load_features(path):
     """Parse a headerless CSV of real numbers into an (n, d) float array."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     rows = []
     width = None
@@ -56,7 +57,7 @@ def load_labels(path, num_rows):
 
     Returns (labels, num_classes).
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     labels = []
     for lineno, line in enumerate(lines, start=1):

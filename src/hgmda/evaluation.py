@@ -16,7 +16,7 @@ import json
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -71,7 +71,7 @@ class ExperimentSpec:
         for name in ("lam2", "lam3", "n_outer"):
             grid = getattr(self, f"{name}_grid")
             if grid is not None and len(grid) == 0:
-                raise ValueError(f"{name}_grid is empty; leave it out to use config.{name}")
+                raise ValueError(f"{name}_grid is empty; leave it out to run a single {name}")
 
 
 @dataclass
@@ -238,6 +238,9 @@ _SPEC_KEYS = (
     "seed", "trials", "target_fraction", "per_class", "eta", "lambda_g",
     "lambda2_grid", "lambda3_grid", "n_outer_grid", "config", "tasks",
 )
+# the integer settings a spec gives in its config; the other AdaptationConfig
+# fields have top-level keys, and each trial derives its own seed
+_CONFIG_KEYS = ("cg_iters", "admm_iters")
 _TASK_PATH_KEYS = ("name", "source_features", "source_labels", "target_features", "target_labels")
 
 
@@ -245,18 +248,16 @@ def load_benchmark_file(path):
     """Parse a JSON benchmark description into (specs, seed).
 
     Top-level keys: seed, trials, target_fraction, per_class, eta, lambda_g,
-    lambda2_grid, lambda3_grid, n_outer_grid, config (AdaptationConfig
-    overrides), tasks (list). Each task needs name and the four dataset
-    paths and may set its own per_class; without one, a task whose source
-    features path mentions "dslr" takes 8. A key the file leaves out keeps
-    the ExperimentSpec or AdaptationConfig default. An unknown key (at the
-    top level, in config or in a task), a value of the wrong JSON type (a
-    task's name and paths must be strings), a value that ExperimentSpec or
-    AdaptationConfig rejects (an empty grid among them), eta or lambda_g
-    given both at the top level and in config, a grid given together with
-    its config value, and a config seed (each trial derives its own from the
-    top-level seed) raise a ValueError naming the file and the key as the
-    file spells it, such as tasks[0].per_class, before any task runs.
+    lambda2_grid, lambda3_grid, n_outer_grid (the only spellings of lam2,
+    lam3 and n_outer; a one-value grid sets a single value), config (only
+    cg_iters and admm_iters) and tasks (a list). Each task needs name and the
+    four dataset paths and may set its own per_class. A key the file leaves
+    out keeps the ExperimentSpec or AdaptationConfig default. An unknown key
+    (at the top level, in config or in a task), a value of the wrong JSON
+    type (a task's name and paths must be strings) and a value that
+    ExperimentSpec or AdaptationConfig rejects (an empty grid among them)
+    raise a ValueError naming the file and the key as the file spells it,
+    such as config.cg_iters or tasks[0].per_class, before any task runs.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -276,48 +277,41 @@ def load_benchmark_file(path):
             raise ValueError(f"{path}: {key!r} needs {nouns[kind]}, got {value!r}")
         return value
 
-    def check(key, base, **setting):
-        # AdaptationConfig and ExperimentSpec check each field on its own, so a
-        # setting that passes here passes in every combo and every task
+    def check(key, base, name, value, kind):
+        # base with its field name set to value (a grid as a tuple); the
+        # dataclasses check each field on its own, so a setting that passes
+        # here passes in every combo and every task
+        need(key, value, kind)
         try:
-            replace(base, **setting)
+            return replace(base, **{name: tuple(value) if kind is list else value})
         except ValueError as exc:
             raise ValueError(f"{path}: bad value in {key!r}: {exc}") from None
 
-    cfg_kwargs = dict(need("config", doc.get("config", {}), dict))
-    kinds = {f.name: type(f.default) for f in fields(AdaptationConfig)}
-    unknown = sorted(set(cfg_kwargs) - set(kinds))
+    config = need("config", doc.get("config", {}), dict)
+    unknown = sorted(set(config) - set(_CONFIG_KEYS))
     if unknown:
-        raise ValueError(f"{path}: unknown config keys {unknown}")
-    if "seed" in cfg_kwargs:
-        raise ValueError(f"{path}: config 'seed' is derived per trial; set the top-level 'seed'")
-    for name, value in cfg_kwargs.items():
-        need(name, value, kinds[name])
+        raise ValueError(
+            f"{path}: unknown config keys {unknown}; config takes {list(_CONFIG_KEYS)}"
+        )
+    cfg = AdaptationConfig()
+    for name, value in config.items():
+        cfg = check(f"config.{name}", cfg, name, value, int)
     for key, name in (("eta", "eta"), ("lambda_g", "lam_g")):
         if key in doc:
-            if name in cfg_kwargs:
-                raise ValueError(f"{path}: {key!r} and config {name!r} set the same value")
-            cfg_kwargs[name] = need(key, doc[key], kinds[name])
-    base_cfg = AdaptationConfig(**cfg_kwargs)
+            cfg = check(key, cfg, name, doc[key], float)
     seed = need("seed", doc.get("seed", 0), int)
 
-    protocol = {}  # the ExperimentSpec settings the file gives
-    unset = ExperimentSpec("", "", "", "")  # the spec each setting is checked on
+    template = ExperimentSpec("", "", "", "", config=cfg)  # each task's spec, paths aside
     for key, kind in (("trials", int), ("target_fraction", float), ("per_class", int)):
         if key in doc:
-            protocol[key] = need(key, doc[key], kind)
-            check(key, unset, **{key: protocol[key]})
-    for key, name in (("lambda2_grid", "lam2"), ("lambda3_grid", "lam3"), ("n_outer_grid", "n_outer")):
-        if key not in doc:
-            continue
-        if name in cfg_kwargs:
-            raise ValueError(f"{path}: {key!r} and config {name!r} set the same value")
-        grid = tuple(need(key, doc[key], list))
-        check(key, unset, **{f"{name}_grid": grid})
-        for value in grid:
-            need(key, value, kinds[name])
-            check(key, base_cfg, **{name: value})
-        protocol[f"{name}_grid"] = grid
+            template = check(key, template, key, doc[key], kind)
+    grids = (("lambda2_grid", "lam2", float), ("lambda3_grid", "lam3", float),
+             ("n_outer_grid", "n_outer", int))
+    for key, name, kind in grids:
+        if key in doc:
+            template = check(key, template, f"{name}_grid", doc[key], list)
+            for value in doc[key]:
+                check(key, cfg, name, value, kind)
 
     specs = []
     for index, task in enumerate(need("tasks", doc["tasks"], list)):
@@ -330,11 +324,8 @@ def load_benchmark_file(path):
         if unknown:
             raise ValueError(f"{path}: tasks[{index}]: unknown keys {unknown}")
         paths = {key: need(f"tasks[{index}].{key}", task[key], str) for key in _TASK_PATH_KEYS}
-        quota = {}
+        spec = replace(template, **paths)
         if "per_class" in task:
-            quota["per_class"] = need(f"tasks[{index}].per_class", task["per_class"], int)
-            check(f"tasks[{index}].per_class", unset, **quota)
-        elif "dslr" in paths["source_features"].lower():
-            quota["per_class"] = 8  # that domain is small
-        specs.append(ExperimentSpec(**paths, config=base_cfg, **{**protocol, **quota}))
+            spec = check(f"tasks[{index}].per_class", spec, "per_class", task["per_class"], int)
+        specs.append(spec)
     return specs, seed

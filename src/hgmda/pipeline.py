@@ -165,6 +165,15 @@ def _timed(times, stage):
         times[stage] += time.perf_counter() - start
 
 
+@contextlib.contextmanager
+def _failing_as(where):
+    """Prefix the message of a ValueError raised inside with where it arose."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _outer_round(source, target, trial, cfg):
     """The round after trial.rounds: match the current source exemplars to
     the target exemplars and map the whole current source through the
@@ -182,7 +191,7 @@ def _outer_round(source, target, trial, cfg):
         with _timed(times, "exemplars"):
             tgt_ex = select_exemplars(target, cfg.eta)
             src_ex = select_exemplars(current, cfg.eta, labels=source.labels)
-        with _timed(times, "graphs"):
+        with _timed(times, "graphs"), _failing_as(f"round {round_index}: target exemplars"):
             sigma_t = sigma_heuristic(tgt_ex.features)
             Dt = adjacency_matrix(tgt_ex.features, sigma_t)
         trial.tgt_ex, trial.src_ex, trial.sigma_t, trial.Dt = tgt_ex, src_ex, sigma_t, Dt
@@ -196,15 +205,12 @@ def _outer_round(source, target, trial, cfg):
             f"got {src_ex.count} source / {tgt_ex.count} target"
         )
 
-    with _timed(times, "graphs"):
-        try:
-            sigma_s = sigma_heuristic(src_ex.features)
-        except ValueError as exc:
-            raise ValueError(f"round {round_index}: source exemplars: {exc}") from exc
+    with _timed(times, "graphs"), _failing_as(f"round {round_index}: source exemplars"):
+        sigma_s = sigma_heuristic(src_ex.features)
         Ds = adjacency_matrix(src_ex.features, sigma_s)
     tensor = None
     if cfg.lam3 > 0.0:
-        with _timed(times, "tensor"):
+        with _timed(times, "tensor"), _failing_as(f"round {round_index}"):
             tensor = trial.tensor if round_index == 1 else None
             if tensor is None:
                 tensor = build_sparse_tensor(
@@ -276,7 +282,8 @@ def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
 
     Raises NonFiniteError if any round produces non-finite features and
     ValueError when a domain yields fewer than 3 exemplars (triangles need
-    three distinct points) or a round's source exemplars all coincide.
+    three distinct points), a domain's exemplars all coincide or yield no
+    valid triangle; its message names the round.
     Emits a RuntimeWarning for each round whose matching breaks
     FEASIBILITY_TOL. Inside _reuse_rounds, inputs and rounds an earlier
     call on the same inputs already computed are reused, not recomputed.

@@ -177,14 +177,19 @@ class TestBenchmarkCommand:
 
     @pytest.mark.parametrize("extra, message", [
         ({"config": {"cg_iterz": 3}}, "unknown config keys ['cg_iterz']"),
-        ({"config": {"admm_iters": 0}}, "admm_iters must be >= 1"),
+        ({"config": {"admm_iters": 0}},
+         "bench.json: bad value in 'config.admm_iters': cg_iters and admm_iters must be >= 1"),
+        ({"config": {"cg_iters": 0}},
+         "bench.json: bad value in 'config.cg_iters': cg_iters and admm_iters must be >= 1"),
+        ({"eta": 1.5}, "bench.json: bad value in 'eta': eta must lie in (0, 1]"),
+        ({"lambda_g": -1}, "bench.json: bad value in 'lambda_g': weights must be non-negative"),
         ({"eta": 0.5, "config": {"ap": {"damping": 0.9}}}, "unknown config keys ['ap']"),
         ({"eta": "0.5"}, "'eta'"),
         ({"trials": None}, "'trials'"),
         ({"lambda2_grid": 5}, "'lambda2_grid'"),
-        ({"config": {"n_outer": "5"}}, "'n_outer'"),
-        ({"config": {"cg_iters": 2.5}}, "'cg_iters'"),
-        ({"config": {"lam2": True}}, "'lam2'"),
+        ({"config": {"cg_iters": "5"}}, "bench.json: 'config.cg_iters' needs an integer"),
+        ({"config": {"admm_iters": 2.5}}, "bench.json: 'config.admm_iters' needs an integer"),
+        ({"lambda_g": True}, "bench.json: 'lambda_g' needs a number"),
         ({"config": {"t_per_node": 5}}, "unknown config keys ['t_per_node']"),
         ({"config": {"knn": 5}}, "unknown config keys ['knn']"),
         ({"config": {"pool_factor": 5}}, "unknown config keys ['pool_factor']"),
@@ -199,29 +204,35 @@ class TestBenchmarkCommand:
         ({"task_per_class": [1]}, "per_class"),
         ({"trails": 3}, "unknown keys ['trails']"),
         ({"task_per_clas": 3}, "tasks[0]: unknown keys ['per_clas']"),
-        ({"eta": 0.5, "config": {"eta": 1.0}}, "'eta' and config 'eta'"),
-        ({"lambda_g": 0.2, "config": {"lam_g": 0.0}}, "'lambda_g' and config 'lam_g'"),
+        # eta, lam_g, lam2, lam3, n_outer and seed have no spelling in config
+        ({"eta": 0.5, "config": {"eta": 1.0}},
+         "bench.json: unknown config keys ['eta']; config takes ['cg_iters', 'admm_iters']"),
+        ({"lambda_g": 0.2, "config": {"lam_g": 0.0}}, "bench.json: unknown config keys ['lam_g']"),
         # an int path would be opened as a file descriptor: 0 reads stdin
         ({"task_source_features": 0}, "'tasks[0].source_features' needs a string"),
         ({"task_target_labels": None}, "'tasks[0].target_labels' needs a string"),
         ({"task_name": 3}, "'tasks[0].name' needs a string"),
         ({"lambda2_grid": []}, "bench.json: bad value in 'lambda2_grid': lam2_grid is empty"),
-        ({"config": {"seed": 3}}, "config 'seed' is derived per trial; set the top-level 'seed'"),
-        ({"lambda3_grid": [0.1], "config": {"lam3": 0.0}}, "'lambda3_grid' and config 'lam3'"),
+        ({"config": {"seed": 3}}, "bench.json: unknown config keys ['seed']"),
+        ({"lambda3_grid": [0.1], "config": {"lam3": 0.0}},
+         "bench.json: unknown config keys ['lam3']"),
+        ({"config": {"lam2": 0.1}}, "bench.json: unknown config keys ['lam2']"),
+        ({"config": {"n_outer": 2}}, "bench.json: unknown config keys ['n_outer']"),
         ({"per_class": 0}, "bench.json: bad value in 'per_class': per_class must be >= 1"),
         ({"task_per_class": 0},
          "bench.json: bad value in 'tasks[0].per_class': per_class must be >= 1"),
         ({"trials": 0}, "bench.json: bad value in 'trials': trials must be >= 1"),
         ({"target_fraction": 1},
          "bench.json: bad value in 'target_fraction': target_fraction must lie in (0, 1)"),
-    ], ids=["unknown-key", "zero-admm-iters", "ap", "str-eta", "null-trials", "scalar-grid",
+    ], ids=["unknown-key", "zero-admm-iters", "zero-cg-iters", "eta-above-one",
+            "negative-lambda-g", "ap", "str-eta", "null-trials", "scalar-grid",
             "str-int", "float-int", "bool-float", "t-per-node", "knn", "pool-factor",
             "ridge-mu", "float-trials", "float-per-class", "float-seed", "str-trials",
             "str-grid", "float-grid", "negative-grid", "list-task-per-class",
             "unknown-top-level-key", "unknown-task-key", "eta-twice", "lambda-g-twice",
             "int-path", "null-target-labels", "int-name", "empty-grid", "config-seed",
-            "grid-and-config", "zero-per-class", "zero-task-per-class", "zero-trials",
-            "whole-target-fraction"])
+            "grid-and-config", "config-lam2", "config-n-outer", "zero-per-class",
+            "zero-task-per-class", "zero-trials", "whole-target-fraction"])
     def test_bad_config_is_exit_one(self, task_files, tmp_path, capsys, extra, message):
         # rejected while the spec is read, before any task runs, as an input
         # error that names the key rather than a traceback

@@ -54,10 +54,19 @@ class TestLoadFeatures:
         with pytest.raises(OSError):
             load_features(str(tmp_path / "nope.csv"))
 
+    def test_byte_order_mark(self, tmp_path):
+        X = load_features(write(tmp_path, "f.csv", "\ufeff1.0,2.0\n3.0,4.0\n"))
+        assert np.array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestLoadLabels:
     def test_basic(self, tmp_path):
         labels, C = load_labels(write(tmp_path, "l.csv", "1\n2\n1"), 3)
+        assert np.array_equal(labels, [1, 2, 1])
+        assert C == 2
+
+    def test_byte_order_mark(self, tmp_path):
+        labels, C = load_labels(write(tmp_path, "l.csv", "\ufeff1\n2\n1\n"), 3)
         assert np.array_equal(labels, [1, 2, 1])
         assert C == 2
 

@@ -375,21 +375,21 @@ class TestLoadBenchmarkFile:
         assert spec.per_class == 20
 
     def test_dslr_source_gets_smaller_quota(self, tmp_path):
-        doc = {
-            "tasks": [
-                self.task_entry("d_w", feature_stem="dslr"),
-                self.task_entry("a_w"),
-            ]
-        }
+        # only a task's own per_class makes a dslr quota smaller; the path
+        # decides nothing, so a bare dslr source keeps the top-level per_class
+        small = self.task_entry("d_a", feature_stem="dslr/dslr")
+        small["per_class"] = 8
+        doc = {"per_class": 12, "tasks": [self.task_entry("d_w", feature_stem="dslr/dslr"), small]}
         specs, _ = load_benchmark_file(self.write_doc(tmp_path, doc))
-        assert specs[0].per_class == 8
-        assert specs[1].per_class == 20
+        assert [spec.per_class for spec in specs] == [12, 8]
 
     def test_explicit_per_class_beats_dslr_rule(self, tmp_path):
-        entry = self.task_entry("d_w", feature_stem="dslr")
+        # a task's own per_class beats the top-level one, whatever its path
+        entry = self.task_entry("a_w")
         entry["per_class"] = 15
-        specs, _ = load_benchmark_file(self.write_doc(tmp_path, {"tasks": [entry]}))
-        assert specs[0].per_class == 15
+        doc = {"per_class": 12, "tasks": [entry, self.task_entry("w_a", feature_stem="webcam")]}
+        specs, _ = load_benchmark_file(self.write_doc(tmp_path, doc))
+        assert [spec.per_class for spec in specs] == [15, 12]
 
     def test_no_tasks_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no tasks"):

@@ -306,6 +306,19 @@ class TestAdaptLoop:
         with pytest.raises(ValueError, match="round 2: source exemplars: degenerate: zero bandwidth"):
             adapt(src, Xt, AdaptationConfig(eta=1.0, n_outer=2, cg_iters=2))
 
+    def test_coincident_target_names_the_round(self):
+        src, _ = blob_pair()
+        with pytest.raises(ValueError, match="round 1: target exemplars: degenerate: zero bandwidth"):
+            adapt(src, np.ones((8, 2)), AdaptationConfig(eta=1.0, cg_iters=2))
+
+    def test_triangle_free_target_names_the_round(self):
+        # one point off seven coincident ones gives a bandwidth but no
+        # triangle of three distinct points
+        src, _ = blob_pair()
+        Xt = np.vstack([np.ones((7, 2)), [[2.0, 0.0]]])
+        with pytest.raises(ValueError, match="round 1: degenerate target domain: no valid triangles"):
+            adapt(src, Xt, AdaptationConfig(eta=1.0, lam3=0.01, cg_iters=2))
+
     def test_feature_dimension_mismatch(self):
         src, _ = blob_pair()
         with pytest.raises(ValueError, match="dimensions differ"):

@@ -1,13 +1,14 @@
-"""README.md stays true to the code: its benchmark spec loads, its
-library-use snippet runs, and its Settings section gives the defaults and
-constants the code has."""
+"""README.md stays true to the code: its benchmark spec loads and shows
+every key the format has, its library-use snippet runs, and its Settings
+section gives the defaults and constants the code has."""
 
+import json
 import pathlib
 import re
 from dataclasses import asdict
 
 from hgmda import AdaptationConfig, exemplars, graphs, pipeline
-from hgmda.evaluation import load_benchmark_file
+from hgmda.evaluation import _CONFIG_KEYS, _SPEC_KEYS, load_benchmark_file
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -25,6 +26,14 @@ def test_spec_example_loads(tmp_path):
     assert [spec.name for spec in specs] == ["amazon->webcam"]
     assert seed == 0
     assert len(specs[0].lam2_grid) * len(specs[0].lam3_grid) * len(specs[0].n_outer_grid) == 80
+
+
+def test_spec_example_shows_every_key():
+    # the example documents the whole format: every top-level key the loader
+    # takes and every key its config takes, and no other
+    doc = json.loads(code_block("json"))
+    assert set(doc) == set(_SPEC_KEYS)
+    assert set(doc["config"]) == set(_CONFIG_KEYS)
 
 
 def test_library_snippet_runs(capsys):
