@@ -47,11 +47,10 @@ def extract_arrays(mat, path):
         raise KeyError(f"{path.name}: expected feature/label variables, found {offered}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y).ravel().astype(int)
+    if X.ndim == 2 and X.shape[0] != y.shape[0] and X.shape[1] == y.shape[0]:
+        X = X.T
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        if X.shape[1] == y.shape[0]:
-            X = X.T
-        else:
-            raise ValueError(f"{path.name}: feature shape {X.shape} vs {y.shape[0]} labels")
+        raise ValueError(f"{path.name}: feature shape {X.shape} vs {y.shape[0]} labels")
     return X, y
 
 
@@ -90,8 +89,7 @@ def main(argv=None):
         if args.zscore:
             X = zscore(X)
         write_features(out / f"{domain}_X.csv", X)
-        with open(out / f"{domain}_y.csv", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(str(v) for v in y) + "\n")
+        np.savetxt(out / f"{domain}_y.csv", y, fmt="%d")
         print(f"{domain}: {X.shape[0]} samples x {X.shape[1]} features from {path.name}")
 
     print(f"done; point HGMDA_OFFICE_CALTECH_DIR at {out.resolve()}")

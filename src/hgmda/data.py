@@ -93,6 +93,10 @@ class LabeledDataset:
     num_classes: int
 
     def __post_init__(self):
+        if self.features.ndim != 2:
+            raise ValueError(
+                f"features need 2 dimensions (rows, columns), got shape {self.features.shape}"
+            )
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError(
                 f"label count {self.labels.shape[0]} does not match "
@@ -112,6 +116,19 @@ class LabeledDataset:
     @property
     def d(self):
         return self.features.shape[1]
+
+    def matching_features(self, X, role, own_role):
+        """X as a float array, if it is 2-D with this dataset's column count;
+        otherwise a ValueError naming both shapes, with role and own_role
+        naming X and this dataset."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(
+                f"{own_role} and {role} feature dimensions differ: {own_role} shape "
+                f"{self.features.shape}, {role} shape {X.shape}; the {role} features "
+                f"need 2 dimensions (rows, columns) and {self.d} columns"
+            )
+        return X
 
 
 def load_dataset(features_path, labels_path):

@@ -21,7 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import LabeledDataset, load_dataset, load_features, load_labels, pairwise_sq_dists
+from .data import (
+    LabeledDataset, class_index_sets, load_dataset, load_features, load_labels, pairwise_sq_dists
+)
 from .pipeline import AdaptationConfig, _reuse_rounds, adapt
 
 log = logging.getLogger(__name__)
@@ -31,7 +33,7 @@ def knn_predict(train: LabeledDataset, test_X):
     """Nearest-neighbor labels; distance ties go to the lowest train index."""
     if train.n < 1:
         raise ValueError("empty training set")
-    test_X = np.atleast_2d(np.asarray(test_X, dtype=float))
+    test_X = train.matching_features(test_X, "test", "training")
     d2 = pairwise_sq_dists(test_X, train.features)
     return train.labels[np.argmin(d2, axis=1)]
 
@@ -88,13 +90,11 @@ class ResultRecord:
     best_lam2: float
     best_lam3: float
     best_n_outer: int
-    config: AdaptationConfig
 
 
 def _sample_source(source: LabeledDataset, quota, rng):
     rows = []
-    for c in range(1, source.num_classes + 1):
-        members = np.flatnonzero(source.labels == c)
+    for c, members in enumerate(class_index_sets(source.labels, source.num_classes), start=1):
         if len(members) < quota:
             warnings.warn(
                 f"class {c} has only {len(members)} samples for a quota of {quota}; "
@@ -185,7 +185,6 @@ def run_task(spec: ExperimentSpec, seed=0):
         best_lam2=lam2,
         best_lam3=lam3,
         best_n_outer=n_outer,
-        config=spec.config,
     )
 
 

@@ -280,17 +280,16 @@ def _outer_round(source, target, trial, cfg):
 def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
     """Run the full adaptation loop; returns an AdaptResult.
 
-    Raises NonFiniteError if any round produces non-finite features and
-    ValueError when a domain yields fewer than 3 exemplars (triangles need
-    three distinct points), a domain's exemplars all coincide or yield no
-    valid triangle; its message names the round.
+    Raises NonFiniteError if any round produces non-finite features.
+    Raises ValueError when the target is not 2-D with the source's column
+    count (naming both shapes), and when a domain yields fewer than 3
+    exemplars (triangles need three distinct points), its exemplars all
+    coincide or they yield no valid triangle (naming the round).
     Emits a RuntimeWarning for each round whose matching breaks
     FEASIBILITY_TOL. Inside _reuse_rounds, inputs and rounds an earlier
     call on the same inputs already computed are reused, not recomputed.
     """
-    target = np.asarray(target, dtype=float)
-    if target.shape[1] != source.d:
-        raise ValueError("source and target feature dimensions differ")
+    target = source.matching_features(target, "target", "source")
 
     slot = _TRIAL_SLOT.get() or [None]  # outside _reuse_rounds the trial is not kept
     key = _trial_key(source, target, cfg)

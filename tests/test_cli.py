@@ -125,6 +125,20 @@ class TestEvaluateCommand:
         assert set(preds) <= {1, 2}
         assert "accuracy" in capsys.readouterr().out
 
+    def test_column_count_mismatch_is_exit_one(self, task_files, tmp_path, capsys):
+        wide = tmp_path / "wide_X.csv"
+        write_features(wide, np.zeros((4, 3)))
+        code = main([
+            "evaluate",
+            "--train-features", task_files["source_features"],
+            "--train-labels", task_files["source_labels"],
+            "--test-features", str(wide),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: training and test feature dimensions differ" in err
+        assert "training shape (20, 2), test shape (4, 3)" in err
+
     def test_predictions_to_stdout(self, task_files, capsys):
         code = main([
             "evaluate",

@@ -130,6 +130,10 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((3, 2)), np.array([1, 2]), 2)
 
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(ValueError, match=r"features need 2 dimensions .* shape \(3,\)"):
+            LabeledDataset(np.zeros(3), np.array([1, 2, 1]), 2)
+
     def test_missing_class(self):
         with pytest.raises(ValueError, match="absent"):
             LabeledDataset(np.zeros((2, 2)), np.array([1, 3]), 3)

@@ -73,6 +73,15 @@ class TestKnnPredict:
         )
         assert knn_predict(train, [[0.0]])[0] == 2
 
+    def test_column_count_mismatch_names_both_shapes(self):
+        train = LabeledDataset(
+            features=np.array([[0.0, 0.0], [5.0, 5.0]]),
+            labels=np.array([1, 2]),
+            num_classes=2,
+        )
+        with pytest.raises(ValueError, match=r"training shape \(2, 2\), test shape \(1, 3\)"):
+            knn_predict(train, [[1.0, 2.0, 3.0]])
+
     def test_empty_training_set_rejected_at_construction(self):
         with pytest.raises(ValueError):
             LabeledDataset(
@@ -374,16 +383,16 @@ class TestLoadBenchmarkFile:
         assert spec.lam2_grid == (0.001, 0.01)
         assert spec.per_class == 20
 
-    def test_dslr_source_gets_smaller_quota(self, tmp_path):
-        # only a task's own per_class makes a dslr quota smaller; the path
-        # decides nothing, so a bare dslr source keeps the top-level per_class
+    def test_source_path_leaves_the_quota_alone(self, tmp_path):
+        # the path decides nothing: a dslr source keeps the top-level
+        # per_class unless its task sets its own
         small = self.task_entry("d_a", feature_stem="dslr/dslr")
         small["per_class"] = 8
         doc = {"per_class": 12, "tasks": [self.task_entry("d_w", feature_stem="dslr/dslr"), small]}
         specs, _ = load_benchmark_file(self.write_doc(tmp_path, doc))
         assert [spec.per_class for spec in specs] == [12, 8]
 
-    def test_explicit_per_class_beats_dslr_rule(self, tmp_path):
+    def test_task_per_class_beats_top_level(self, tmp_path):
         # a task's own per_class beats the top-level one, whatever its path
         entry = self.task_entry("a_w")
         entry["per_class"] = 15

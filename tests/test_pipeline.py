@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -323,6 +324,13 @@ class TestAdaptLoop:
         src, _ = blob_pair()
         with pytest.raises(ValueError, match="dimensions differ"):
             adapt(src, np.zeros((8, 3)), AdaptationConfig())
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 2, 2)], ids=["1-d", "3-d"])
+    def test_target_must_be_two_dimensional(self, shape):
+        src, _ = blob_pair()
+        message = rf"source shape \(12, 2\), target shape {re.escape(str(shape))}; .* 2 dimensions"
+        with pytest.raises(ValueError, match=message):
+            adapt(src, np.zeros(shape), AdaptationConfig())
 
 
 class TestRotationRecovery:

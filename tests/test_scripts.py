@@ -6,7 +6,14 @@ import pytest
 
 import hgmda
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "office_caltech_to_csv.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_office_caltech_to_csv_writes_csvs_the_package_loads(tmp_path):
@@ -30,9 +37,7 @@ def test_office_caltech_to_csv_writes_csvs_the_package_loads(tmp_path):
         savemat(tmp_path / f"{domain}_SURF_L10.mat", {x_key: stored_X, y_key: stored_y})
         domains[domain] = (X, y + 1 - first_label)
 
-    spec = importlib.util.spec_from_file_location("office_caltech_to_csv", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("office_caltech_to_csv")
     for zscore in (False, True):
         out = tmp_path / f"csv-{zscore}"
         script.main([str(tmp_path), str(out)] + ["--zscore"] * zscore)
@@ -44,3 +49,25 @@ def test_office_caltech_to_csv_writes_csvs_the_package_loads(tmp_path):
                 assert np.allclose(data.features.std(axis=0), 1.0)
             else:
                 assert np.array_equal(data.features, X)
+
+
+def test_office_caltech_to_csv_rejects_one_dimensional_features():
+    script = load_script("office_caltech_to_csv")
+    mat = {"fts": np.zeros(6), "labels": np.arange(6) % 3 + 1}
+    with pytest.raises(ValueError, match=r"amazon_SURF_L10\.mat: feature shape \(6,\) vs 6 labels"):
+        script.extract_arrays(mat, Path("mats") / "amazon_SURF_L10.mat")
+
+
+def test_eta_sweep_prints_csv_and_held_out_accuracy(capsys):
+    load_script("eta_sweep").main(["--etas", "1", "0.5", "--trials", "1", "--per-class", "10"])
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "eta,adapted,na,adapted_held,na_held",
+        "1,0.800000,0.500000,0.900000,0.800000",
+        "0.5,0.800000,0.500000,0.700000,0.800000",
+    ]
+    # run_task may also log its per-trial progress to stderr
+    assert [line for line in err.splitlines() if line.startswith("eta=")] == [
+        "eta=1: adapted 80.00% vs NA 50.00% (held out 90.00% vs 80.00%), gain +30.00 points",
+        "eta=0.5: adapted 80.00% vs NA 50.00% (held out 70.00% vs 80.00%), gain +30.00 points",
+    ]
