@@ -23,7 +23,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hgmda.data import write_features
 from hgmda.evaluation import ExperimentSpec, run_task
-from hgmda.pipeline import AdaptationConfig
 from hgmda.synthetic import rotated_gaussian_task
 
 
@@ -68,9 +67,9 @@ def main(argv=None):
                 per_class=min(args.per_class, 20),
                 target_fraction=0.5,
                 trials=args.trials,
-                config=AdaptationConfig(
-                    eta=eta, cg_iters=args.cg_iters, admm_iters=args.admm_iters
-                ),
+                eta=eta,
+                cg_iters=args.cg_iters,
+                admm_iters=args.admm_iters,
             )
             rec = run_task(spec, seed=args.seed)
             lines.append(

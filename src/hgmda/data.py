@@ -97,6 +97,8 @@ class LabeledDataset:
             raise ValueError(
                 f"features need 2 dimensions (rows, columns), got shape {self.features.shape}"
             )
+        if self.labels.ndim != 1:
+            raise ValueError(f"labels need 1 dimension, got shape {self.labels.shape}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError(
                 f"label count {self.labels.shape[0]} does not match "

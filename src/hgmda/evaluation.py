@@ -16,8 +16,7 @@ import json
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,8 +30,6 @@ log = logging.getLogger(__name__)
 
 def knn_predict(train: LabeledDataset, test_X):
     """Nearest-neighbor labels; distance ties go to the lowest train index."""
-    if train.n < 1:
-        raise ValueError("empty training set")
     test_X = train.matching_features(test_X, "test", "training")
     d2 = pairwise_sq_dists(test_X, train.features)
     return train.labels[np.argmin(d2, axis=1)]
@@ -48,22 +45,28 @@ def accuracy(predicted, truth):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Paths and protocol settings for one adaptation task."""
+    """Paths and protocol settings for one adaptation task; the grids give
+    the lam2, lam3 and n_outer searched, and every combo is checked here."""
 
     name: str
     source_features: str
     source_labels: str
     target_features: str
-    target_labels: Optional[str] = None
+    target_labels: str
     per_class: int = 20
     target_fraction: float = 0.5
     trials: int = 10
-    config: AdaptationConfig = field(default_factory=AdaptationConfig)
-    lam2_grid: Optional[tuple] = None
-    lam3_grid: Optional[tuple] = None
-    n_outer_grid: Optional[tuple] = None
+    eta: float = AdaptationConfig.eta
+    lam_g: float = AdaptationConfig.lam_g
+    cg_iters: int = AdaptationConfig.cg_iters
+    admm_iters: int = AdaptationConfig.admm_iters
+    lam2_grid: tuple = (AdaptationConfig.lam2,)
+    lam3_grid: tuple = (AdaptationConfig.lam3,)
+    n_outer_grid: tuple = (AdaptationConfig.n_outer,)
 
     def __post_init__(self):
+        if self.target_labels is None:
+            raise ValueError(f"{self.name}: target labels are required for scoring")
         if self.per_class < 1:
             raise ValueError("per_class must be >= 1")
         if not 0.0 < self.target_fraction < 1.0:
@@ -71,9 +74,18 @@ class ExperimentSpec:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for name in ("lam2", "lam3", "n_outer"):
-            grid = getattr(self, f"{name}_grid")
-            if grid is not None and len(grid) == 0:
+            if len(getattr(self, f"{name}_grid")) == 0:
                 raise ValueError(f"{name}_grid is empty; leave it out to run a single {name}")
+        self.configs()
+
+    def configs(self, seed=0):
+        """Each combo's AdaptationConfig with this seed, lam2 outermost and
+        n_outer innermost."""
+        return [AdaptationConfig(eta=self.eta, lam2=lam2, lam3=lam3, lam_g=self.lam_g,
+                                 n_outer=n_outer, cg_iters=self.cg_iters,
+                                 admm_iters=self.admm_iters, seed=seed)
+                for lam2 in self.lam2_grid for lam3 in self.lam3_grid
+                for n_outer in self.n_outer_grid]
 
 
 @dataclass
@@ -106,28 +118,19 @@ def _sample_source(source: LabeledDataset, quota, rng):
         rows.append(np.sort(take))
     rows = np.concatenate(rows)
     return LabeledDataset(
-        features=source.features[rows].copy(),
-        labels=source.labels[rows].copy(),
+        features=source.features[rows],
+        labels=source.labels[rows],
         num_classes=source.num_classes,
     )
-
-
-def _grid(spec: ExperimentSpec):
-    lam2s = spec.lam2_grid if spec.lam2_grid else (spec.config.lam2,)
-    lam3s = spec.lam3_grid if spec.lam3_grid else (spec.config.lam3,)
-    outers = spec.n_outer_grid if spec.n_outer_grid else (spec.config.n_outer,)
-    return [(l2, l3, no) for l2 in lam2s for l3 in lam3s for no in outers]
 
 
 def run_task(spec: ExperimentSpec, seed=0):
     """Execute the full multi-trial protocol for one task."""
     source = load_dataset(spec.source_features, spec.source_labels)
     target_X = load_features(spec.target_features)
-    if spec.target_labels is None:
-        raise ValueError(f"{spec.name}: target labels are required for scoring")
     target_y, _ = load_labels(spec.target_labels, target_X.shape[0])
 
-    combos = _grid(spec)
+    combos = spec.configs()
     acc = np.zeros((len(combos), spec.trials))
     held = np.zeros((len(combos), spec.trials))
     na = np.zeros(spec.trials)
@@ -153,10 +156,7 @@ def run_task(spec: ExperimentSpec, seed=0):
 
         # the trial's combos share what no weight changes (see _reuse_rounds)
         with _reuse_rounds():
-            for ci, (lam2, lam3, n_outer) in enumerate(combos):
-                cfg = replace(
-                    spec.config, lam2=lam2, lam3=lam3, n_outer=n_outer, seed=adapt_seed
-                )
+            for ci, cfg in enumerate(spec.configs(adapt_seed)):
                 result = adapt(sampled, Xa, cfg)
                 adapted = LabeledDataset(
                     features=result.adapted,
@@ -171,7 +171,7 @@ def run_task(spec: ExperimentSpec, seed=0):
         )
 
     best = int(np.argmax(acc.mean(axis=1)))
-    lam2, lam3, n_outer = combos[best]
+    best_cfg = combos[best]
     return ResultRecord(
         name=spec.name,
         per_trial=acc[best].tolist(),
@@ -182,9 +182,9 @@ def run_task(spec: ExperimentSpec, seed=0):
         na_mean=float(na.mean()),
         na_held_per_trial=na_held.tolist(),
         na_held_mean=float(na_held.mean()),
-        best_lam2=lam2,
-        best_lam3=lam3,
-        best_n_outer=n_outer,
+        best_lam2=best_cfg.lam2,
+        best_lam3=best_cfg.lam3,
+        best_n_outer=best_cfg.n_outer,
     )
 
 
@@ -233,12 +233,21 @@ def benchmark_table(rows):
     return buffer.getvalue(), "\n".join(pretty) + "\n"
 
 
-_SPEC_KEYS = (
-    "seed", "trials", "target_fraction", "per_class", "eta", "lambda_g",
-    "lambda2_grid", "lambda3_grid", "n_outer_grid", "config", "tasks",
+# the top-level settings of a spec file: key, ExperimentSpec field and JSON
+# type, a grid's type being a one-item list of the type of its values
+_SETTINGS = (
+    ("trials", "trials", int),
+    ("target_fraction", "target_fraction", float),
+    ("per_class", "per_class", int),
+    ("eta", "eta", float),
+    ("lambda_g", "lam_g", float),
+    ("lambda2_grid", "lam2_grid", [float]),
+    ("lambda3_grid", "lam3_grid", [float]),
+    ("n_outer_grid", "n_outer_grid", [int]),
 )
-# the integer settings a spec gives in its config; the other AdaptationConfig
-# fields have top-level keys, and each trial derives its own seed
+_SPEC_KEYS = ("seed", *(key for key, _, _ in _SETTINGS), "config", "tasks")
+# the integer settings a spec gives in its config, under their field names;
+# each trial derives its own seed
 _CONFIG_KEYS = ("cg_iters", "admm_iters")
 _TASK_PATH_KEYS = ("name", "source_features", "source_labels", "target_features", "target_labels")
 
@@ -251,12 +260,12 @@ def load_benchmark_file(path):
     lam3 and n_outer; a one-value grid sets a single value), config (only
     cg_iters and admm_iters) and tasks (a list). Each task needs name and the
     four dataset paths and may set its own per_class. A key the file leaves
-    out keeps the ExperimentSpec or AdaptationConfig default. An unknown key
-    (at the top level, in config or in a task), a value of the wrong JSON
-    type (a task's name and paths must be strings) and a value that
-    ExperimentSpec or AdaptationConfig rejects (an empty grid among them)
-    raise a ValueError naming the file and the key as the file spells it,
-    such as config.cg_iters or tasks[0].per_class, before any task runs.
+    out keeps the ExperimentSpec default. An unknown key (at the top level,
+    in config or in a task), a value of the wrong JSON type (a task's name
+    and paths must be strings) and a value that ExperimentSpec rejects (an
+    empty grid among them) raise a ValueError naming the file and the key as
+    the file spells it, such as config.cg_iters or tasks[0].per_class, before
+    any task runs.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -276,13 +285,16 @@ def load_benchmark_file(path):
             raise ValueError(f"{path}: {key!r} needs {nouns[kind]}, got {value!r}")
         return value
 
-    def check(key, base, name, value, kind):
-        # base with its field name set to value (a grid as a tuple); the
-        # dataclasses check each field on its own, so a setting that passes
-        # here passes in every combo and every task
-        need(key, value, kind)
+    def check(key, spec, name, value, kind):
+        # spec with its field name set to value (a grid as a tuple); the spec
+        # checks each field on its own, so a setting that passes here passes
+        # in every combo and every task
+        if isinstance(kind, list):
+            value = tuple(need(key, item, kind[0]) for item in need(key, value, list))
+        else:
+            need(key, value, kind)
         try:
-            return replace(base, **{name: tuple(value) if kind is list else value})
+            return replace(spec, **{name: value})
         except ValueError as exc:
             raise ValueError(f"{path}: bad value in {key!r}: {exc}") from None
 
@@ -292,25 +304,13 @@ def load_benchmark_file(path):
         raise ValueError(
             f"{path}: unknown config keys {unknown}; config takes {list(_CONFIG_KEYS)}"
         )
-    cfg = AdaptationConfig()
-    for name, value in config.items():
-        cfg = check(f"config.{name}", cfg, name, value, int)
-    for key, name in (("eta", "eta"), ("lambda_g", "lam_g")):
-        if key in doc:
-            cfg = check(key, cfg, name, doc[key], float)
     seed = need("seed", doc.get("seed", 0), int)
-
-    template = ExperimentSpec("", "", "", "", config=cfg)  # each task's spec, paths aside
-    for key, kind in (("trials", int), ("target_fraction", float), ("per_class", int)):
+    template = ExperimentSpec("", "", "", "", "")  # each task's spec, paths aside
+    for name, value in config.items():
+        template = check(f"config.{name}", template, name, value, int)
+    for key, name, kind in _SETTINGS:
         if key in doc:
-            template = check(key, template, key, doc[key], kind)
-    grids = (("lambda2_grid", "lam2", float), ("lambda3_grid", "lam3", float),
-             ("n_outer_grid", "n_outer", int))
-    for key, name, kind in grids:
-        if key in doc:
-            template = check(key, template, f"{name}_grid", doc[key], list)
-            for value in doc[key]:
-                check(key, cfg, name, value, kind)
+            template = check(key, template, name, doc[key], kind)
 
     specs = []
     for index, task in enumerate(need("tasks", doc["tasks"], list)):

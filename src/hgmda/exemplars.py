@@ -178,8 +178,8 @@ def _make_set(X, labels, indices, converged, preference, ap_runs):
     indices = np.sort(np.asarray(indices, dtype=int))
     return ExemplarSet(
         indices=indices,
-        features=X[indices].copy(),
-        labels=None if labels is None else np.asarray(labels)[indices].copy(),
+        features=X[indices],
+        labels=None if labels is None else np.asarray(labels)[indices],
         converged=converged,
         preference=preference,
         ap_runs=ap_runs,

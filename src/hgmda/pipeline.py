@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .data import LabeledDataset, NonFiniteError, class_index_sets
-from .exemplars import ExemplarSet, select_exemplars
+from .exemplars import select_exemplars
 from .graphs import SparseTensor3, adjacency_matrix, build_sparse_tensor, sigma_heuristic
 from .objective import ObjectiveContext, ObjectiveWeights
 from .solver import cg_solve
@@ -107,21 +107,19 @@ STAGES = ("exemplars", "graphs", "tensor", "solver", "ridge")
 class _Trial:
     """What adapt runs compute on one set of inputs.
 
-    The target's exemplars, bandwidth and adjacency, the round-1 source
-    exemplars and the round-1 tensor depend on the data and the config but
-    on none of lam2, lam3 and n_outer, so every run that differs only in
-    those shares them; the tensor is built the first time a run has
-    lam3 > 0. rounds[k] is the AdaptResult that a run with n_outer = k + 1
-    and the last weights, (lam2, lam3), returns. That run reproduces the
-    first k + 1 rounds of any longer run with the same weights exactly, so
-    a longer run continues from the kept rounds instead of recomputing them.
+    The target's and the round-1 source's (exemplars, bandwidth, adjacency)
+    and the round-1 tensor depend on the data and the config but on none of
+    lam2, lam3 and n_outer, so every run that differs only in those shares
+    them; the tensor is built the first time a run has lam3 > 0. rounds[k]
+    is the AdaptResult that a run with n_outer = k + 1 and the last weights,
+    (lam2, lam3), returns. That run reproduces the first k + 1 rounds of any
+    longer run with the same weights exactly, so a longer run continues from
+    the kept rounds instead of recomputing them.
     """
 
     key: object
-    tgt_ex: Optional[ExemplarSet] = None
-    sigma_t: Optional[float] = None
-    Dt: Optional[np.ndarray] = None
-    src_ex: Optional[ExemplarSet] = None
+    target: Optional[tuple] = None
+    source: Optional[tuple] = None
     tensor: Optional[SparseTensor3] = None
     weights: Optional[tuple] = None
     rounds: list = field(default_factory=list)
@@ -135,8 +133,8 @@ _TRIAL_SLOT = contextvars.ContextVar("hgmda_trial_slot", default=None)
 def _reuse_rounds():
     """Within this scope adapt keeps what its last run computed. A later
     call on the same inputs and config (lam2, lam3 and n_outer aside) takes
-    the target exemplars, the round-1 source exemplars and the round-1
-    tensor from it; with the same lam2 and lam3 it also replays the rounds
+    the target's graph, the round-1 source graph and the round-1 tensor
+    from it; with the same lam2 and lam3 it also replays the rounds
     already completed, computing only the rounds after them. A call on
     other inputs or config replaces the kept trial; nothing is kept once
     the scope closes."""
@@ -177,8 +175,8 @@ def _failing_as(where):
 def _outer_round(source, target, trial, cfg):
     """The round after trial.rounds: match the current source exemplars to
     the target exemplars and map the whole current source through the
-    ridge fit. Round 1 takes its exemplars and tensor from the trial: the
-    trial's first round 1 selects the exemplars there, and its first with
+    ridge fit. Round 1 takes its graphs and tensor from the trial: the
+    trial's first round 1 builds both graphs there, and its first with
     lam3 > 0 builds the tensor. Returns the AdaptResult of a run ending here."""
     t0 = time.perf_counter()
     times = dict.fromkeys(STAGES, 0.0)
@@ -186,28 +184,26 @@ def _outer_round(source, target, trial, cfg):
     round_index = len(trial.rounds) + 1
     current = source.features.astype(float) if earlier is None else earlier.adapted
 
-    if trial.tgt_ex is None:
-        # a new trial: the inputs that no weight changes
+    def graph(X, labels, role):
+        # a domain's exemplars, their bandwidth and their adjacency
         with _timed(times, "exemplars"):
-            tgt_ex = select_exemplars(target, cfg.eta)
-            src_ex = select_exemplars(current, cfg.eta, labels=source.labels)
-        with _timed(times, "graphs"), _failing_as(f"round {round_index}: target exemplars"):
-            sigma_t = sigma_heuristic(tgt_ex.features)
-            Dt = adjacency_matrix(tgt_ex.features, sigma_t)
-        trial.tgt_ex, trial.src_ex, trial.sigma_t, trial.Dt = tgt_ex, src_ex, sigma_t, Dt
-    tgt_ex, src_ex = trial.tgt_ex, trial.src_ex
-    if round_index > 1:
-        with _timed(times, "exemplars"):
-            src_ex = select_exemplars(current, cfg.eta, labels=source.labels)
-    if src_ex.count < 3 or tgt_ex.count < 3:
-        raise ValueError(
-            f"round {round_index}: need at least 3 exemplars per domain, "
-            f"got {src_ex.count} source / {tgt_ex.count} target"
-        )
+            ex = select_exemplars(X, cfg.eta, labels=labels)
+        with _timed(times, "graphs"), _failing_as(f"round {round_index}: {role} exemplars"):
+            if ex.count < 3:
+                raise ValueError(f"need at least 3 exemplars per domain, got {ex.count}")
+            sigma = sigma_heuristic(ex.features)
+            return ex, sigma, adjacency_matrix(ex.features, sigma)
 
-    with _timed(times, "graphs"), _failing_as(f"round {round_index}: source exemplars"):
-        sigma_s = sigma_heuristic(src_ex.features)
-        Ds = adjacency_matrix(src_ex.features, sigma_s)
+    if trial.source is None:
+        # a new trial: the graphs that no weight changes, kept only if both build
+        trial.target, trial.source = (
+            graph(target, None, "target"), graph(current, source.labels, "source")
+        )
+    tgt_ex, sigma_t, Dt = trial.target
+    src_ex, sigma_s, Ds = (
+        trial.source if round_index == 1 else graph(current, source.labels, "source")
+    )
+
     tensor = None
     if cfg.lam3 > 0.0:
         with _timed(times, "tensor"), _failing_as(f"round {round_index}"):
@@ -226,7 +222,7 @@ def _outer_round(source, target, trial, cfg):
         Xs=src_ex.features,
         Xt=tgt_ex.features,
         Ds=Ds,
-        Dt=trial.Dt,
+        Dt=Dt,
         tensor=tensor,
         class_groups=groups,
     )
@@ -257,7 +253,7 @@ def _outer_round(source, target, trial, cfg):
         "source_preference": src_ex.preference,
         "target_preference": tgt_ex.preference,
         "sigma_s": float(sigma_s),
-        "sigma_t": float(trial.sigma_t),
+        "sigma_t": float(sigma_t),
         "tensor_entries": 0 if tensor is None else int(tensor.m),
         "objective": diag.objective_trace[-1],
         "fw_gap": diag.final_gap,
@@ -284,7 +280,8 @@ def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
     Raises ValueError when the target is not 2-D with the source's column
     count (naming both shapes), and when a domain yields fewer than 3
     exemplars (triangles need three distinct points), its exemplars all
-    coincide or they yield no valid triangle (naming the round).
+    coincide or they yield no valid triangle (naming the round, and the
+    domain for the first two).
     Emits a RuntimeWarning for each round whose matching breaks
     FEASIBILITY_TOL. Inside _reuse_rounds, inputs and rounds an earlier
     call on the same inputs already computed are reused, not recomputed.

@@ -106,13 +106,10 @@ def write_synthetic_task(tmpdir):
 
 
 def synthetic_protocol_spec(paths, eta, admm_iters):
-    cfg = AdaptationConfig(
-        eta=eta, lam2=0.01, lam3=0.0, lam_g=0.01, n_outer=1,
-        cg_iters=20, admm_iters=admm_iters,
-    )
     return ExperimentSpec(
         name=f"synthetic-eta-{eta}", per_class=20, target_fraction=0.5,
-        trials=10, config=cfg, **paths,
+        trials=10, eta=eta, lam_g=0.01, cg_iters=20, admm_iters=admm_iters,
+        lam2_grid=(0.01,), lam3_grid=(0.0,), n_outer_grid=(1,), **paths,
     )
 
 
@@ -310,7 +307,6 @@ def test_criterion_7_office_caltech_reproduction():
     grid = (1e-3, 1e-2, 1e-1, 1.0)
     specs = []
     for (src, tgt), _ in OFFICE_CALTECH_TARGETS.items():
-        cfg = AdaptationConfig(eta=1.0, lam_g=0.01, cg_iters=20, admm_iters=8000)
         specs.append(
             ExperimentSpec(
                 name=f"{src}->{tgt}",
@@ -321,7 +317,10 @@ def test_criterion_7_office_caltech_reproduction():
                 per_class=8 if src == "dslr" else 20,
                 target_fraction=0.5,
                 trials=10,
-                config=cfg,
+                eta=1.0,
+                lam_g=0.01,
+                cg_iters=20,
+                admm_iters=8000,
                 lam2_grid=grid,
                 lam3_grid=grid,
                 n_outer_grid=(1, 2, 3, 4, 5),

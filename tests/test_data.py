@@ -134,6 +134,12 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match=r"features need 2 dimensions .* shape \(3,\)"):
             LabeledDataset(np.zeros(3), np.array([1, 2, 1]), 2)
 
+    def test_column_of_labels_rejected(self):
+        # (n, 1) labels would give (m, 1) 1-NN predictions that no 1-D
+        # truth matches
+        with pytest.raises(ValueError, match=r"labels need 1 dimension, got shape \(3, 1\)"):
+            LabeledDataset(np.zeros((3, 2)), np.array([[1], [2], [1]]), 2)
+
     def test_missing_class(self):
         with pytest.raises(ValueError, match="absent"):
             LabeledDataset(np.zeros((2, 2)), np.array([1, 3]), 3)

@@ -39,9 +39,9 @@ def write_task_files(tmp_path, n_per_class=10, seed=0):
 
 
 def small_spec(paths, **overrides):
-    cfg = AdaptationConfig(eta=1.0, lam2=0.01, lam_g=0.01, cg_iters=8, admm_iters=800)
     base = dict(
-        name="toy", per_class=5, target_fraction=0.5, trials=3, config=cfg, **paths
+        name="toy", per_class=5, target_fraction=0.5, trials=3, eta=1.0, lam_g=0.01,
+        cg_iters=8, admm_iters=800, lam2_grid=(0.01,), **paths
     )
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -135,10 +135,11 @@ class TestRunTask:
         assert rec.best_lam2 == 0.01
 
     def test_missing_target_labels_rejected(self, tmp_path):
+        # at construction, before any file is read
         paths = write_task_files(tmp_path)
         paths["target_labels"] = None
-        with pytest.raises(ValueError, match="target labels"):
-            run_task(small_spec(paths), seed=0)
+        with pytest.raises(ValueError, match="toy: target labels are required"):
+            small_spec(paths)
 
     def test_undersized_class_warns_and_uses_all(self, tmp_path):
         paths = write_task_files(tmp_path, n_per_class=4)
@@ -166,9 +167,8 @@ class TestRoundReuse:
     LAM2, LAM3 = (0.01, 0.1), (0.0, 0.01)
 
     def grid_spec(self, tmp_path, n_outer_grid, trials=1):
-        cfg = AdaptationConfig(eta=0.5, lam2=0.01, lam_g=0.01, cg_iters=8, admm_iters=800)
         return small_spec(
-            write_task_files(tmp_path), trials=trials, config=cfg, lam2_grid=self.LAM2,
+            write_task_files(tmp_path), trials=trials, eta=0.5, lam2_grid=self.LAM2,
             lam3_grid=self.LAM3, n_outer_grid=n_outer_grid,
         )
 
@@ -217,7 +217,7 @@ class TestRoundReuse:
 
     def test_each_round_is_solved_once_per_trial(self, tmp_path, monkeypatch):
         """Counts the work of 2 trials of 2 lam2 x 2 lam3 x N_T (1, 2)."""
-        solves, selections, tensors = [], [], []
+        solves, selections, tensors, adjacencies = [], [], [], []
 
         def counting(name, fn, log, key):
             def wrapper(*args, **kwargs):
@@ -232,6 +232,8 @@ class TestRoundReuse:
                  lambda X, *a, labels=None: (labels is None, np.asarray(X).tobytes()))
         counting("build_sparse_tensor", hgmda.pipeline.build_sparse_tensor, tensors,
                  lambda Xs, Xt, **k: (Xs.tobytes(), Xt.tobytes(), k["seed"]))
+        counting("adjacency_matrix", hgmda.pipeline.adjacency_matrix, adjacencies,
+                 lambda *a, **k: None)
         run_task(self.grid_spec(tmp_path, (1, 2), trials=2), seed=0)
         # 4 (lam2, lam3) x max N_T = 2 rounds per trial, not 4 x (1 + 2)
         assert len(solves) == 2 * 8
@@ -241,6 +243,9 @@ class TestRoundReuse:
         assert len(selections) == 2 * 6 and len(set(selections)) == len(selections)
         assert sum(is_target for is_target, _ in selections) == 2
         assert len(tensors) == 2 * 3 and len(set(tensors)) == len(tensors)
+        # per trial: 1 target, 1 round-1 source and 4 round-2 source
+        # adjacencies, not 1 + 4 x 2
+        assert len(adjacencies) == 2 * 6
         assert hgmda.pipeline._TRIAL_SLOT.get() is None
 
     def test_other_inputs_replace_the_kept_trial(self, monkeypatch):
@@ -282,6 +287,30 @@ class TestRoundReuse:
 
 
 class TestSpecValidation:
+    def test_bad_grid_value_rejected_at_construction(self, tmp_path):
+        paths = write_task_files(tmp_path)
+        with pytest.raises(ValueError, match="weights must be non-negative"):
+            small_spec(paths, lam2_grid=(0.01, -0.1))
+        with pytest.raises(ValueError, match="n_outer must be >= 1"):
+            small_spec(paths, n_outer_grid=(1, 0))
+
+    def test_configs_run_lam2_outermost_and_n_outer_innermost(self, tmp_path):
+        spec = small_spec(
+            write_task_files(tmp_path), eta=0.5, lam2_grid=(0.1, 0.2), lam3_grid=(0.0, 0.3),
+            n_outer_grid=(2, 1),
+        )
+        configs = spec.configs(seed=5)
+        assert [(c.lam2, c.lam3, c.n_outer) for c in configs] == [
+            (l2, l3, n) for l2 in (0.1, 0.2) for l3 in (0.0, 0.3) for n in (2, 1)
+        ]
+        assert {(c.eta, c.lam_g, c.cg_iters, c.admm_iters, c.seed) for c in configs} == {
+            (0.5, 0.01, 8, 800, 5)
+        }
+
+    def test_defaults_are_the_adaptation_defaults(self, tmp_path):
+        (config,) = ExperimentSpec("toy", *write_task_files(tmp_path).values()).configs()
+        assert config == AdaptationConfig()
+
     def test_per_class_positive(self, tmp_path):
         paths = write_task_files(tmp_path)
         with pytest.raises(ValueError):
@@ -378,8 +407,8 @@ class TestLoadBenchmarkFile:
         assert seed == 11
         spec = specs[0]
         assert spec.trials == 4
-        assert spec.config.eta == 0.5
-        assert spec.config.lam_g == 0.05
+        assert spec.eta == 0.5
+        assert spec.lam_g == 0.05
         assert spec.lam2_grid == (0.001, 0.01)
         assert spec.per_class == 20
 

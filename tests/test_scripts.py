@@ -7,10 +7,11 @@ import pytest
 import hgmda
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_script(name, folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
@@ -71,3 +72,13 @@ def test_eta_sweep_prints_csv_and_held_out_accuracy(capsys):
         "eta=1: adapted 80.00% vs NA 50.00% (held out 90.00% vs 80.00%), gain +30.00 points",
         "eta=0.5: adapted 80.00% vs NA 50.00% (held out 70.00% vs 80.00%), gain +30.00 points",
     ]
+
+
+def test_every_perfbench_wrap_site_resolves():
+    # the benchmark times each layer by replacing these module globals; a
+    # renamed or moved function would otherwise show only in a traced run
+    spans = load_script("spans", PERFBENCH)
+    for module, attribute, _ in spans.WRAP_SITES:
+        assert callable(getattr(importlib.import_module(module), attribute, None)), (
+            f"{module}.{attribute}"
+        )
