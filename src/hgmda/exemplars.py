@@ -34,8 +34,9 @@ BISECT_STEPS = 20
 class ExemplarSet:
     """Indices of the selected rows plus copies of their features/labels.
 
-    preference is the AP preference that chose them and ap_runs the number
-    of AP runs the bisection made; eta = 1 runs none (preference None).
+    preference is the AP preference that chose them, ap_runs the number of
+    AP runs the bisection made and target the count it aimed at,
+    max(1, round(eta * n)); eta = 1 runs none (preference and target None).
     """
 
     indices: np.ndarray
@@ -44,6 +45,7 @@ class ExemplarSet:
     converged: bool
     preference: Optional[float] = None
     ap_runs: int = 0
+    target: Optional[int] = None
 
     @property
     def count(self):
@@ -174,7 +176,7 @@ def affinity_propagation(S):
     return exemplars, converged
 
 
-def _make_set(X, labels, indices, converged, preference, ap_runs):
+def _make_set(X, labels, indices, converged, preference, ap_runs, target):
     indices = np.sort(np.asarray(indices, dtype=int))
     return ExemplarSet(
         indices=indices,
@@ -183,6 +185,7 @@ def _make_set(X, labels, indices, converged, preference, ap_runs):
         converged=converged,
         preference=preference,
         ap_runs=ap_runs,
+        target=target,
     )
 
 
@@ -201,7 +204,7 @@ def select_exemplars(X, eta, labels=None):
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     if eta == 1.0:
-        return _make_set(X, labels, np.arange(n), True, None, 0)
+        return _make_set(X, labels, np.arange(n), True, None, 0, None)
 
     target = int(round(eta * n))
     target = max(target, 1)
@@ -222,7 +225,7 @@ def select_exemplars(X, eta, labels=None):
         ex, conv = run(p)
         evaluated.append((abs(len(ex) - target), p, ex, conv))
         if abs(len(ex) - target) <= tol:
-            return _make_set(X, labels, ex, conv, float(p), len(evaluated))
+            return _make_set(X, labels, ex, conv, float(p), len(evaluated), target)
 
     # AP counts rise with the preference, so when p_lo already gives too many
     # exemplars or p_hi too few, no preference between them comes closer
@@ -234,11 +237,11 @@ def select_exemplars(X, eta, labels=None):
         ex, conv = run(mid)
         evaluated.append((abs(len(ex) - target), mid, ex, conv))
         if abs(len(ex) - target) <= tol:
-            return _make_set(X, labels, ex, conv, float(mid), len(evaluated))
+            return _make_set(X, labels, ex, conv, float(mid), len(evaluated), target)
         if len(ex) > target:
             hi = mid
         else:
             lo = mid
 
     _, p, ex, conv = min(evaluated, key=lambda item: item[0])
-    return _make_set(X, labels, ex, conv, float(p), len(evaluated))
+    return _make_set(X, labels, ex, conv, float(p), len(evaluated), target)

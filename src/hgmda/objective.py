@@ -153,20 +153,29 @@ def f3_and_grad(C, ctx):
 def fg_and_grad(C, ctx):
     """Group lasso over (class, target column) blocks of C.
 
-    Zero-norm groups get subgradient 0, the standard convention.
+    Zero-norm groups get subgradient 0, the standard convention. C's rows
+    are gathered once in class order, so each class's column norms come
+    from a contiguous slice; the value adds the per-class sums in class
+    order, since merging them into one reduction changes the last bit.
     """
     if ctx.class_groups is None:
         raise ValueError("group term requires class index sets")
-    value = 0.0
+    groups = [rows for rows in ctx.class_groups if len(rows)]
     grad = np.zeros_like(C)
-    for rows in ctx.class_groups:
-        if len(rows) == 0:
-            continue
-        block = C[rows, :]
-        norms = np.sqrt((block**2).sum(axis=0))
-        value += float(norms.sum())
-        nz = norms > 0.0
-        grad[np.ix_(rows, nz)] = block[:, nz] / norms[nz]
+    if not groups:
+        return 0.0, grad
+    rows = np.concatenate(groups)
+    counts = [len(group) for group in groups]
+    B = C[rows]
+    norms = np.empty((len(groups), C.shape[1]))
+    value = 0.0
+    lo = 0
+    for norm, count in zip(norms, counts):
+        np.sqrt((B[lo : lo + count] ** 2).sum(axis=0), out=norm)
+        value += float(norm.sum())
+        lo += count
+    norms = np.repeat(norms, counts, axis=0)
+    grad[rows] = np.divide(B, norms, out=np.zeros_like(B), where=norms > 0.0)
     return value, grad
 
 

@@ -164,12 +164,18 @@ def _timed(times, stage):
 
 
 @contextlib.contextmanager
-def _failing_as(where):
-    """Prefix the message of a ValueError raised inside with where it arose."""
+def _failing_as(where, note=""):
+    """Prefix the message of a ValueError raised inside with where it arose,
+    and append note."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}{note}") from exc
+
+
+def _spread(X):
+    """RMS distance of the rows of X to their mean."""
+    return float(np.sqrt(((X - X.mean(axis=0)) ** 2).sum(axis=1).mean()))
 
 
 def _outer_round(source, target, trial, cfg):
@@ -188,7 +194,12 @@ def _outer_round(source, target, trial, cfg):
         # a domain's exemplars, their bandwidth and their adjacency
         with _timed(times, "exemplars"):
             ex = select_exemplars(X, cfg.eta, labels=labels)
-        with _timed(times, "graphs"), _failing_as(f"round {round_index}: {role} exemplars"):
+        note = ""
+        if role == "source" and earlier is not None:
+            note = (f"; round {round_index - 1}'s map contracted the source "
+                    f"(source_spread {earlier.rounds[-1]['source_spread']:.3g})")
+        where = f"round {round_index}: {role} exemplars"
+        with _timed(times, "graphs"), _failing_as(where, note):
             if ex.count < 3:
                 raise ValueError(f"need at least 3 exemplars per domain, got {ex.count}")
             sigma = sigma_heuristic(ex.features)
@@ -252,8 +263,11 @@ def _outer_round(source, target, trial, cfg):
         "target_ap_runs": tgt_ex.ap_runs,
         "source_preference": src_ex.preference,
         "target_preference": tgt_ex.preference,
+        "source_ap_target": src_ex.target,
+        "target_ap_target": tgt_ex.target,
         "sigma_s": float(sigma_s),
         "sigma_t": float(sigma_t),
+        "source_spread": _spread(current) / _spread(source.features),
         "tensor_entries": 0 if tensor is None else int(tensor.m),
         "objective": diag.objective_trace[-1],
         "fw_gap": diag.final_gap,

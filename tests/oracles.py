@@ -17,7 +17,9 @@ loop, which range-tested the scalings at every iteration
 (reference_sinkhorn_lmo, built from the package's kernel, rounding and
 bound helpers and its oracle constants), and the earlier affinity
 propagation with freshly allocated messages
-(reference_affinity_propagation, on the package's AP settings).
+(reference_affinity_propagation, on the package's AP settings), and the
+group lasso that gathered and scattered each class's rows in its own
+loop step (reference_fg_and_grad).
 """
 
 import itertools
@@ -479,3 +481,26 @@ def reference_f3_and_grad(C, ctx):
         + np.bincount(H.p3, weights=H.values * w1 * w2, minlength=n)
     )
     return value, grad.reshape(C.shape)
+
+
+def reference_fg_and_grad(C, ctx):
+    """The package's earlier fg_and_grad: one gather and one np.ix_ scatter
+    per class.
+
+    Group lasso over (class, target column) blocks of C.
+
+    Zero-norm groups get subgradient 0, the standard convention.
+    """
+    if ctx.class_groups is None:
+        raise ValueError("group term requires class index sets")
+    value = 0.0
+    grad = np.zeros_like(C)
+    for rows in ctx.class_groups:
+        if len(rows) == 0:
+            continue
+        block = C[rows, :]
+        norms = np.sqrt((block**2).sum(axis=0))
+        value += float(norms.sum())
+        nz = norms > 0.0
+        grad[np.ix_(rows, nz)] = block[:, nz] / norms[nz]
+    return value, grad

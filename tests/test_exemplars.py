@@ -224,6 +224,13 @@ class TestSelectExemplars:
         got = select_exemplars(np.zeros((3, 1)), 1.0)
         assert got.ap_runs == 0
         assert got.preference is None
+        assert got.target is None
+
+    @pytest.mark.parametrize("n, eta, target", [(40, 0.5, 20), (30, 0.01, 1), (30, 1 / 30, 1)])
+    def test_records_the_count_target(self, n, eta, target):
+        # max(1, round(eta * n)), whether or not the count met it
+        got = select_exemplars(np.random.default_rng(n).normal(size=(n, 3)), eta)
+        assert got.target == target
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgmda import objective
@@ -24,6 +24,7 @@ from oracles import (
     dense_tensor,
     reference_build_sparse_tensor,
     reference_f3_and_grad,
+    reference_fg_and_grad,
 )
 from test_graphs import REFERENCE_CASES, normals
 
@@ -304,6 +305,51 @@ class TestFg:
         Cp = C[perm, :]
         vp, _ = fg_and_grad(Cp, ctx)
         assert vp == pytest.approx(v, rel=1e-12)
+
+
+class TestFgMatchesLoopReference:
+    """The gathered group lasso against the earlier per-class loop, bit for
+    bit: each class's column norms and the value's per-class sums are taken
+    in the same order, so value and gradient must be ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=120),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from(["dense", "zero-blocks", "all-zero", "underflow"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # every row its own class, more classes than rows (empty classes), one
+    # row and one column, and an all-zero C
+    @example(ns=12, nt=30, classes=12, mode="dense", seed=0)
+    @example(ns=5, nt=7, classes=12, mode="zero-blocks", seed=1)
+    @example(ns=1, nt=1, classes=1, mode="dense", seed=2)
+    @example(ns=40, nt=100, classes=10, mode="all-zero", seed=3)
+    def test_matches_per_class_loop(self, ns, nt, classes, mode, seed):
+        rng = np.random.default_rng(seed)
+        # label 0 is no class, so some rows lie in no group
+        labels = rng.integers(0, classes + 1, size=ns)
+        groups = class_index_sets(labels, classes)
+        C = rng.uniform(0.0, 1.0, size=(ns, nt))
+        if mode == "zero-blocks":
+            # columns that are zero within a class, and some whole rows
+            for rows in groups:
+                C[np.ix_(rows, rng.random(nt) < 0.4)] = 0.0
+            C[rng.random(ns) < 0.2] = 0.0
+        elif mode == "all-zero":
+            C[:] = 0.0
+        elif mode == "underflow":
+            # squares that underflow to 0 give zero norms over non-zero entries
+            C *= 10.0 ** rng.uniform(-170.0, 0.0, size=(ns, nt))
+        ctx = ObjectiveContext(
+            np.zeros((ns, 1)), np.zeros((nt, 1)), np.zeros((ns, ns)), np.zeros((nt, nt)),
+            class_groups=groups,
+        )
+        value, grad = fg_and_grad(C, ctx)
+        want_value, want_grad = reference_fg_and_grad(C, ctx)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
 
 
 class TestTotal:

@@ -165,6 +165,8 @@ class TestAdaptLoop:
             for side in ("source", "target"):
                 assert r[f"{side}_ap_runs"] >= 1
                 assert r[f"{side}_preference"] <= 0.0
+            assert r["source_ap_target"] == round(0.5 * src.n)
+            assert r["target_ap_target"] == round(0.5 * len(Xt))
         # the target's exemplars are selected once, in round 1
         assert res.rounds[0]["target_preference"] == res.rounds[1]["target_preference"]
         json.dumps(res.rounds)
@@ -176,6 +178,7 @@ class TestAdaptLoop:
         assert r["stage_times"]["tensor"] == 0.0
         assert r["source_ap_runs"] == r["target_ap_runs"] == 0
         assert r["source_preference"] is None and r["target_preference"] is None
+        assert r["source_ap_target"] is None and r["target_ap_target"] is None
 
     def test_default_config_is_feasible_and_silent(self):
         source, target = rotated_gaussian_task(n_per_class=20, seed=0)[:2]
@@ -295,17 +298,44 @@ class TestAdaptLoop:
         with pytest.raises(ValueError, match="at least 3 exemplars"):
             adapt(src, target, AdaptationConfig())
 
-    def test_collapsed_source_names_the_round(self, monkeypatch):
-        # a round-1 map that sends every source point to the origin leaves
-        # round 2 no bandwidth to build the source graph with
-        def collapse(inputs, targets, mu):
-            d = np.shape(inputs)[1]
-            return LinearMap(W=np.zeros((d, d)), bias=np.zeros(d))
+    @staticmethod
+    def collapse(inputs, targets, mu):
+        # a map that sends every source point to the origin
+        d = np.shape(inputs)[1]
+        return LinearMap(W=np.zeros((d, d)), bias=np.zeros(d))
 
-        monkeypatch.setattr(pipeline, "fit_ridge_mapping", collapse)
+    def test_collapsed_source_names_the_round(self, monkeypatch):
+        # a round-1 map that collapses the source leaves round 2 no bandwidth
+        # to build the source graph with; the error blames that map
+        monkeypatch.setattr(pipeline, "fit_ridge_mapping", self.collapse)
         src, Xt = blob_pair()
-        with pytest.raises(ValueError, match="round 2: source exemplars: degenerate: zero bandwidth"):
+        message = (r"round 2: source exemplars: degenerate: zero bandwidth \(all points "
+                   r"coincide\); round 1's map contracted the source \(source_spread 0\)$")
+        with pytest.raises(ValueError, match=message):
             adapt(src, Xt, AdaptationConfig(eta=1.0, n_outer=2, cg_iters=2))
+
+    def test_collapsed_source_fails_the_count_check(self, monkeypatch):
+        # at eta < 1 AP leaves the collapsed source one exemplar
+        monkeypatch.setattr(pipeline, "fit_ridge_mapping", self.collapse)
+        src, Xt = blob_pair()
+        message = (r"round 2: source exemplars: need at least 3 exemplars per domain, got 1; "
+                   r"round 1's map contracted the source \(source_spread 0\)$")
+        with pytest.raises(ValueError, match=message):
+            adapt(src, Xt, AdaptationConfig(eta=0.5, n_outer=2, cg_iters=2))
+
+    def test_source_spread_falls_each_round(self):
+        # the ridge maps onto the blurred C* Xt, so the source contracts
+        # round after round
+        source, target = rotated_gaussian_task(n_per_class=40, seed=0)[:2]
+        res = adapt(source, target, AdaptationConfig(lam2=0.1, n_outer=3))
+        spreads = [r["source_spread"] for r in res.rounds]
+        assert spreads == pytest.approx([0.372, 0.162, 0.071], abs=5e-4)
+        # the ratio of the adapted source's RMS spread to the input's
+        centred = res.adapted - res.adapted.mean(axis=0)
+        centred_input = source.features - source.features.mean(axis=0)
+        assert spreads[-1] == pytest.approx(
+            np.sqrt((centred**2).sum(axis=1).mean() / (centred_input**2).sum(axis=1).mean()),
+            rel=1e-12)
 
     def test_coincident_target_names_the_round(self):
         src, _ = blob_pair()

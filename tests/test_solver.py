@@ -286,6 +286,23 @@ class TestSinkhornBlocks:
         max_iters = int(rng.integers(1, 301))
         self.check_against_reference(G, a, b, gamma, g, max_iters)
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("gamma", [2 / 3, 2 / 22], ids=["step-1", "step-20"])
+    @pytest.mark.parametrize("ns, nt, max_iters", [(40, 100, 8000), (20, 60, 16000)])
+    def test_benchmark_shapes(self, ns, nt, max_iters, gamma, warm):
+        # the shapes and caps of the benchmark's calls, at the first and the
+        # last step of a 20-step run: 20-1,270 iterations, some restarting.
+        # A warm call starts from the column potential of a call at a nearby
+        # gradient, as cg_solve's calls do
+        a, b = marginals(ns, nt)
+        G = offset_gradient(1, ns, nt, 0.0)
+        g = None
+        if warm:
+            g = _sinkhorn_lmo(G, a, b, gamma, None, max_iters)[1]
+            G = G + 0.05 * offset_gradient(2, ns, nt, 0.0)
+        out = self.check_against_reference(G, a, b, gamma, g, max_iters)
+        assert 10 < out[3] < max_iters
+
     @pytest.mark.parametrize("gamma", [1e-5, 1e-4])
     @pytest.mark.parametrize("seed, restart_at", [(0, 71), (5, 57)])
     def test_restart_on_the_last_allowed_iteration(self, gamma, seed, restart_at):
