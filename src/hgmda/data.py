@@ -112,10 +112,6 @@ class LabeledDataset:
             raise ValueError(f"class {missing[0]} absent")
 
     @property
-    def n(self):
-        return self.features.shape[0]
-
-    @property
     def d(self):
         return self.features.shape[1]
 

@@ -210,15 +210,15 @@ def select_exemplars(X, eta, labels=None):
     target = max(target, 1)
     tol = max(1, round(0.02 * n))
 
+    # the diagonal of S0 is 0, so its minimum is the least off-diagonal one
     S0 = similarity_matrix(X, 0.0)
-    off_min = (S0 - np.diag(np.diag(S0))).min()
-    p_lo = 2.0 * off_min
+    p_lo = 2.0 * S0.min()
     p_hi = 0.0
 
     def run(p):
-        S = S0.copy()
-        np.fill_diagonal(S, p)
-        return affinity_propagation(S)
+        # affinity_propagation only reads S, so each run resets the diagonal
+        np.fill_diagonal(S0, p)
+        return affinity_propagation(S0)
 
     evaluated = []
     for p in (p_lo, p_hi):

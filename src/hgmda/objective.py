@@ -116,7 +116,9 @@ def f3_and_grad(C, ctx):
     so no tensor-sized temporary is allocated.
     """
     H = ctx.tensor
-    if H is None or H.m == 0:
+    if H is None:
+        raise ValueError("third-order term requires a triangle tensor (ctx.tensor is None)")
+    if H.m == 0:
         return 0.0, np.zeros_like(C)
     c = C.ravel()
     n = c.size

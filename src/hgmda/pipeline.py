@@ -250,9 +250,6 @@ def _outer_round(source, target, trial, cfg):
         current = mapping.apply(current)
     if not np.all(np.isfinite(current)):
         raise NonFiniteError(f"round {round_index}: adapted features non-finite")
-    # the last recorded iterate residuals are those of the returned C_star
-    row_residual = diag.row_residuals[-1]
-    col_residual = diag.col_residuals[-1]
     record = {
         "round": round_index,
         "n_source_exemplars": int(src_ex.count),
@@ -269,11 +266,8 @@ def _outer_round(source, target, trial, cfg):
         "sigma_t": float(sigma_t),
         "source_spread": _spread(current) / _spread(source.features),
         "tensor_entries": 0 if tensor is None else int(tensor.m),
-        "objective": diag.objective_trace[-1],
-        "fw_gap": diag.final_gap,
-        "row_residual": row_residual,
-        "col_residual": col_residual,
-        "feasible": max(row_residual, col_residual) <= FEASIBILITY_TOL,
+        # the last recorded iterate residuals are those of the returned C_star
+        "feasible": max(diag.row_residuals[-1], diag.col_residuals[-1]) <= FEASIBILITY_TOL,
         "solver": asdict(diag),
         "stage_times": times,
         "wall_time": time.perf_counter() - t0,
@@ -316,10 +310,11 @@ def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
     result = trial.rounds[cfg.n_outer - 1]
     for record in result.rounds:
         if not record["feasible"]:
+            solver = record["solver"]
             warnings.warn(
                 f"round {record['round']}: matching breaks the {FEASIBILITY_TOL:g} "
-                f"feasibility bound (row residual {record['row_residual']:.2e}, "
-                f"column residual {record['col_residual']:.2e})",
+                f"feasibility bound (row residual {solver['row_residuals'][-1]:.2e}, "
+                f"column residual {solver['col_residuals'][-1]:.2e})",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
+import hgmda.cli
 from hgmda.cli import _permutation_minimum, main
-from hgmda.data import load_features, write_features
+from hgmda.data import NonFiniteError, load_features, write_features
 from hgmda.synthetic import rotated_gaussian_task
 
 from oracles import permutation_minimum as oracle_perm_min
@@ -106,6 +107,23 @@ class TestAdaptCommand:
         ])
         assert code == 1
         capsys.readouterr()
+
+    def test_numerical_failure_is_exit_two(self, task_files, tmp_path, capsys, monkeypatch):
+        def failing(*args):
+            raise NonFiniteError("round 1: adapted features non-finite")
+
+        monkeypatch.setattr(hgmda.cli, "adapt", failing)
+        code = main([
+            "adapt",
+            "--source-features", task_files["source_features"],
+            "--source-labels", task_files["source_labels"],
+            "--target-features", task_files["target_features"],
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: round 1: adapted features non-finite\n"
+        assert not (tmp_path / "run").exists()
 
 
 class TestEvaluateCommand:
@@ -238,6 +256,7 @@ class TestBenchmarkCommand:
         ({"trials": 0}, "bench.json: bad value in 'trials': trials must be >= 1"),
         ({"target_fraction": 1},
          "bench.json: bad value in 'target_fraction': target_fraction must lie in (0, 1)"),
+        ({"tasks": ["toy"]}, "bench.json: each task needs an object, got 'toy'"),
     ], ids=["unknown-key", "zero-admm-iters", "zero-cg-iters", "eta-above-one",
             "negative-lambda-g", "ap", "str-eta", "null-trials", "scalar-grid",
             "str-int", "float-int", "bool-float", "t-per-node", "knn", "pool-factor",
@@ -246,7 +265,7 @@ class TestBenchmarkCommand:
             "unknown-top-level-key", "unknown-task-key", "eta-twice", "lambda-g-twice",
             "int-path", "null-target-labels", "int-name", "empty-grid", "config-seed",
             "grid-and-config", "config-lam2", "config-n-outer", "zero-per-class",
-            "zero-task-per-class", "zero-trials", "whole-target-fraction"])
+            "zero-task-per-class", "zero-trials", "whole-target-fraction", "string-task"])
     def test_bad_config_is_exit_one(self, task_files, tmp_path, capsys, extra, message):
         # rejected while the spec is read, before any task runs, as an input
         # error that names the key rather than a traceback
@@ -268,6 +287,14 @@ class TestBenchmarkCommand:
         code = main(["benchmark", "--spec", str(tmp_path / "absent.json")])
         assert code == 1
         capsys.readouterr()
+
+    def test_malformed_spec_is_exit_one(self, tmp_path, capsys):
+        # json's decode error is a ValueError, so it is an input error too
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text('{"tasks": [')
+        code = main(["benchmark", "--spec", str(spec_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: Expecting value")
 
 
 class TestLpCheckCommand:

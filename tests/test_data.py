@@ -82,6 +82,10 @@ class TestLoadLabels:
         with pytest.raises(ValueError, match="line 2"):
             load_labels(write(tmp_path, "l.csv", "1\n0"), 2)
 
+    def test_non_integer_label_reports_line(self, tmp_path):
+        with pytest.raises(ValueError, match=r"non-integer label '1\.5' at line 2"):
+            load_labels(write(tmp_path, "l.csv", "1\n1.5\n2"), 3)
+
 
 class TestClassIndexSets:
     def test_two_classes(self):
@@ -140,6 +144,11 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match=r"labels need 1 dimension, got shape \(3, 1\)"):
             LabeledDataset(np.zeros((3, 2)), np.array([[1], [2], [1]]), 2)
 
+    @pytest.mark.parametrize("labels", [[0, 1], [1, 3]], ids=["zero", "above-num-classes"])
+    def test_label_outside_the_classes(self, labels):
+        with pytest.raises(ValueError, match=r"labels must lie in \{1\.\.num_classes\}"):
+            LabeledDataset(np.zeros((2, 2)), np.array(labels), 2)
+
     def test_missing_class(self):
         with pytest.raises(ValueError, match="absent"):
             LabeledDataset(np.zeros((2, 2)), np.array([1, 3]), 3)
@@ -148,7 +157,7 @@ class TestLabeledDataset:
         f = write(tmp_path, "f.csv", "0,1\n2,3\n4,5")
         l = write(tmp_path, "l.csv", "2\n1\n2")
         ds = load_dataset(f, l)
-        assert ds.n == 3 and ds.d == 2 and ds.num_classes == 2
+        assert ds.features.shape == (3, 2) and ds.d == 2 and ds.num_classes == 2
 
 
 def test_pairwise_sq_dists_matches_direct():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -131,12 +133,26 @@ def single_orbit_tensor(h, slots, ns, nt):
 
 
 class TestF3:
-    def test_missing_tensor_is_zero(self):
+    def test_empty_tensor_is_zero(self):
         rng = np.random.default_rng(5)
         ctx = random_context(rng)
+        empty = np.array([], dtype=np.int64)
+        ctx = replace(ctx, tensor=SparseTensor3(empty, empty, empty, np.ones(0), 1.0,
+                                                ctx.ns, ctx.nt))
         v, g = f3_and_grad(uniform_matching(ctx.ns, ctx.nt), ctx)
         assert v == 0.0
         assert np.array_equal(g, np.zeros((ctx.ns, ctx.nt)))
+
+    def test_missing_tensor_raises(self):
+        # at lam3 > 0 the total needs the term, so a context without a tensor
+        # is an error, as a missing class grouping is for the group term
+        rng = np.random.default_rng(5)
+        ctx = random_context(rng)
+        C = uniform_matching(ctx.ns, ctx.nt)
+        with pytest.raises(ValueError, match="triangle tensor"):
+            f3_and_grad(C, ctx)
+        with pytest.raises(ValueError, match="triangle tensor"):
+            total_objective(C, ctx, ObjectiveWeights(lam3=0.1))
 
     def test_single_orbit_entry(self):
         h = 0.7
@@ -413,3 +429,9 @@ class TestHelpers:
             ObjectiveContext(
                 np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3))
             )
+
+    @pytest.mark.parametrize("Ds, Dt", [((2, 2), (4, 4)), ((3, 3), (3, 3)), ((3, 4), (4, 4))])
+    def test_adjacency_shape_mismatch_rejected(self, Ds, Dt):
+        # 3 source and 4 target rows need a 3 x 3 and a 4 x 4 adjacency
+        with pytest.raises(ValueError, match="adjacency shapes inconsistent"):
+            ObjectiveContext(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros(Ds), np.zeros(Dt))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hgmda import exemplars, pipeline, solver
-from hgmda.data import LabeledDataset
+from hgmda.data import LabeledDataset, NonFiniteError
 from hgmda.evaluation import accuracy, knn_predict
 from hgmda.objective import marginals
 from hgmda.pipeline import (
@@ -125,7 +125,7 @@ class TestAdaptLoop:
         res = adapt(src, src.features.copy(), cfg)
         rms = float(np.sqrt(np.mean((res.adapted - src.features) ** 2)))
         assert rms < 1e-2
-        assert np.abs(res.matching - np.eye(src.n)).max() < 5e-3
+        assert np.abs(res.matching - np.eye(len(src.labels))).max() < 5e-3
 
     def test_adapted_features_are_ridge_image_of_source(self):
         src, Xt = blob_pair()
@@ -146,7 +146,7 @@ class TestAdaptLoop:
         assert [r["round"] for r in res.rounds] == [1, 2, 3]
         for r in res.rounds:
             assert r["wall_time"] > 0.0
-            assert r["n_source_exemplars"] == src.n
+            assert r["n_source_exemplars"] == len(src.labels)
             assert r["tensor_entries"] == 0
             # one oracle call per Frank-Wolfe step, plus the final gap call
             assert len(r["solver"]["lp_iterations"]) == cfg.cg_iters + 1
@@ -165,7 +165,7 @@ class TestAdaptLoop:
             for side in ("source", "target"):
                 assert r[f"{side}_ap_runs"] >= 1
                 assert r[f"{side}_preference"] <= 0.0
-            assert r["source_ap_target"] == round(0.5 * src.n)
+            assert r["source_ap_target"] == round(0.5 * len(src.labels))
             assert r["target_ap_target"] == round(0.5 * len(Xt))
         # the target's exemplars are selected once, in round 1
         assert res.rounds[0]["target_preference"] == res.rounds[1]["target_preference"]
@@ -187,9 +187,8 @@ class TestAdaptLoop:
             res = adapt(source, target, AdaptationConfig())
         (record,) = res.rounds
         assert record["feasible"] is True
-        assert max(record["row_residual"], record["col_residual"]) <= 1e-12
-        assert record["row_residual"] == record["solver"]["row_residuals"][-1]
-        assert record["col_residual"] == record["solver"]["col_residuals"][-1]
+        solver = record["solver"]
+        assert max(solver["row_residuals"][-1], solver["col_residuals"][-1]) <= 1e-12
 
     def test_infeasible_matching_is_flagged_once(self, monkeypatch):
         # the solver's output is always feasible, so the warning path is
@@ -209,10 +208,9 @@ class TestAdaptLoop:
         assert len(caught) == 1
         (record,) = res.rounds
         assert record["feasible"] is False
-        assert max(record["row_residual"], record["col_residual"]) > FEASIBILITY_TOL
-        assert f"{record['row_residual']:.2e}" in str(caught[0].message)
-        assert record["row_residual"] == record["solver"]["row_residuals"][-1]
-        assert record["col_residual"] == record["solver"]["col_residuals"][-1]
+        row, col = record["solver"]["row_residuals"][-1], record["solver"]["col_residuals"][-1]
+        assert max(row, col) > FEASIBILITY_TOL
+        assert f"row residual {row:.2e}, column residual {col:.2e}" in str(caught[0].message)
 
     def test_target_permutation_permutes_matching_columns(self):
         # at eta = 1 every target row is an exemplar, in row order, and no
@@ -232,7 +230,8 @@ class TestAdaptLoop:
             res = adapt(source, target, AdaptationConfig(cg_iters=5, admm_iters=2000))
         (record,) = res.rounds
         assert record["feasible"] is True
-        assert max(record["row_residual"], record["col_residual"]) <= FEASIBILITY_TOL
+        solver = record["solver"]
+        assert max(solver["row_residuals"][-1], solver["col_residuals"][-1]) <= FEASIBILITY_TOL
         assert record["source_ap_converged"] is True
         assert record["target_ap_converged"] is True
         json.dumps(res.rounds)
@@ -258,7 +257,7 @@ class TestAdaptLoop:
         cfg = AdaptationConfig(eta=0.5, lam2=0.01, lam_g=0.01, cg_iters=8, admm_iters=800)
         res = adapt(src, Xt, cfg)
         assert res.matching.shape == (len(res.source_exemplars), len(res.target_exemplars))
-        assert res.matching.shape[0] < src.n
+        assert res.matching.shape[0] < len(src.labels)
 
     def test_third_order_term_builds_tensor(self):
         src, Xt = blob_pair()
@@ -284,7 +283,7 @@ class TestAdaptLoop:
         )
         want = adapt(src, Xt, cfg)
         assert got.rounds[0]["tensor_entries"] > 0
-        assert len(got.source_exemplars) < src.n and len(got.target_exemplars) < len(Xt)
+        assert len(got.source_exemplars) < len(src.labels) and len(got.target_exemplars) < len(Xt)
         for name in ("adapted", "matching", "source_exemplars", "target_exemplars"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
@@ -322,6 +321,23 @@ class TestAdaptLoop:
                    r"round 1's map contracted the source \(source_spread 0\)$")
         with pytest.raises(ValueError, match=message):
             adapt(src, Xt, AdaptationConfig(eta=0.5, n_outer=2, cg_iters=2))
+
+    def test_non_finite_map_names_the_round(self, monkeypatch):
+        # round 1 fits as usual; round 2's map has NaN weights
+        fit, fits = pipeline.fit_ridge_mapping, []
+
+        def nan_from_round_2(inputs, targets, mu):
+            mapping = fit(inputs, targets, mu)
+            fits.append(mapping)
+            if len(fits) == 1:
+                return mapping
+            return LinearMap(W=np.full_like(mapping.W, np.nan), bias=mapping.bias)
+
+        monkeypatch.setattr(pipeline, "fit_ridge_mapping", nan_from_round_2)
+        src, Xt = blob_pair()
+        with pytest.raises(NonFiniteError, match=r"^round 2: adapted features non-finite$"):
+            adapt(src, Xt, AdaptationConfig(eta=1.0, n_outer=2, cg_iters=2))
+        assert len(fits) == 2
 
     def test_source_spread_falls_each_round(self):
         # the ridge maps onto the blurred C* Xt, so the source contracts

@@ -1,14 +1,16 @@
 """README.md stays true to the code: its benchmark spec loads and shows
-every key the format has, its library-use snippet runs, and its Settings
-section gives the defaults and constants the code has."""
+every key the format has, its library-use snippet runs, its Settings
+section gives the defaults and constants the code has, and its adapt
+section names every key of a round's report."""
 
 import json
 import pathlib
 import re
 from dataclasses import asdict
 
-from hgmda import AdaptationConfig, exemplars, graphs, pipeline
+from hgmda import AdaptationConfig, adapt, exemplars, graphs, pipeline
 from hgmda.evaluation import _CONFIG_KEYS, _SPEC_KEYS, load_benchmark_file
+from hgmda.synthetic import rotated_gaussian_task
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -52,3 +54,14 @@ def test_settings_match_the_code():
     for name, value in constants:
         (module,) = [m for m in (exemplars, graphs, pipeline) if hasattr(m, name)]
         assert getattr(module, name) == float(value), name
+
+
+def test_adapt_section_names_every_report_key():
+    # every key of a round record and of its solver record appears in
+    # backticks between the "### adapt" heading and the next heading
+    section = re.search(r"^### adapt\n(.*?)^#", README, flags=re.DOTALL | re.MULTILINE)
+    named = set(re.findall(r"`(\w+)`", section.group(1)))
+    source, target = rotated_gaussian_task(n_per_class=10, seed=0)[:2]
+    (record,) = adapt(source, target, AdaptationConfig(eta=0.5, cg_iters=2)).rounds
+    assert set(record) - named == set()
+    assert set(record["solver"]) - named == set()
