@@ -35,7 +35,8 @@ class ExemplarSet:
     """Indices of the selected rows plus copies of their features/labels.
 
     preference is the AP preference that chose them, ap_runs the number of
-    AP runs the bisection made and target the count it aimed at,
+    AP runs the bisection made, ap_capped how many of those stopped at
+    MAX_ITERS instead of converging, and target the count it aimed at,
     max(1, round(eta * n)); eta = 1 runs none (preference and target None).
     """
 
@@ -45,6 +46,7 @@ class ExemplarSet:
     converged: bool
     preference: Optional[float] = None
     ap_runs: int = 0
+    ap_capped: int = 0
     target: Optional[int] = None
 
     @property
@@ -176,7 +178,9 @@ def affinity_propagation(S):
     return exemplars, converged
 
 
-def _make_set(X, labels, indices, converged, preference, ap_runs, target):
+def _make_set(X, labels, indices, converged, preference, evaluated, target):
+    """The set of the given indices; evaluated lists the (miss, preference,
+    exemplars, converged) of every AP run the bisection made."""
     indices = np.sort(np.asarray(indices, dtype=int))
     return ExemplarSet(
         indices=indices,
@@ -184,7 +188,8 @@ def _make_set(X, labels, indices, converged, preference, ap_runs, target):
         labels=None if labels is None else np.asarray(labels)[indices],
         converged=converged,
         preference=preference,
-        ap_runs=ap_runs,
+        ap_runs=len(evaluated),
+        ap_capped=sum(not conv for *_, conv in evaluated),
         target=target,
     )
 
@@ -204,7 +209,7 @@ def select_exemplars(X, eta, labels=None):
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     if eta == 1.0:
-        return _make_set(X, labels, np.arange(n), True, None, 0, None)
+        return _make_set(X, labels, np.arange(n), True, None, [], None)
 
     target = int(round(eta * n))
     target = max(target, 1)
@@ -225,7 +230,7 @@ def select_exemplars(X, eta, labels=None):
         ex, conv = run(p)
         evaluated.append((abs(len(ex) - target), p, ex, conv))
         if abs(len(ex) - target) <= tol:
-            return _make_set(X, labels, ex, conv, float(p), len(evaluated), target)
+            return _make_set(X, labels, ex, conv, float(p), evaluated, target)
 
     # AP counts rise with the preference, so when p_lo already gives too many
     # exemplars or p_hi too few, no preference between them comes closer
@@ -237,11 +242,11 @@ def select_exemplars(X, eta, labels=None):
         ex, conv = run(mid)
         evaluated.append((abs(len(ex) - target), mid, ex, conv))
         if abs(len(ex) - target) <= tol:
-            return _make_set(X, labels, ex, conv, float(mid), len(evaluated), target)
+            return _make_set(X, labels, ex, conv, float(mid), evaluated, target)
         if len(ex) > target:
             hi = mid
         else:
             lo = mid
 
     _, p, ex, conv = min(evaluated, key=lambda item: item[0])
-    return _make_set(X, labels, ex, conv, float(p), len(evaluated), target)
+    return _make_set(X, labels, ex, conv, float(p), evaluated, target)

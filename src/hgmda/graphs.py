@@ -18,11 +18,22 @@ The sample sizes are fixed parts of the method, module constants that
 build_sparse_tensor reads when it is called and takes no argument for:
 T_PER_NODE source triangles through each source node, a pool of
 POOL_FACTOR * n_t target triangles, and the KNN nearest pool triangles kept
-per source triangle. Each generator (one per source node, one for the pool)
-draws all of its triangles in one call, and they are the triangles that one
-rng.choice call per triangle gave, so the tensor does not depend on how they
-are drawn. Their features are then computed in one vectorised pass over all
-sampled triangles, in blocks of FEATURE_BLOCK gathered floats.
+per source triangle. They were chosen by measurement (the grid is in
+CHANGES.md). T_PER_NODE = 10 is the smallest count whose accuracy matches
+that of 50 within one test point per seed on the rotated task and the
+benchmark's tensor-hg and protocol-grid workloads, and within 0.01 on a
+synthetic Office-shape task, with a fifth of the entries: a fifth of the
+work in the build and in every f3 call. T_PER_NODE = 5 loses two test
+points on some seeds, and so do KNN = 150 and POOL_FACTOR = 10; KNN = 150
+also scores 0.800 against 0.838 on one Office-shape seed. f3 is a sum over
+the stored entries, so its weight at a given lambda3 scales with their
+number.
+
+Each generator (one per source node, one for the pool) draws all of its
+triangles in one call, and they are the triangles that one rng.choice call
+per triangle gave, so the tensor does not depend on how they are drawn.
+Their features are then computed in one vectorised pass over all sampled
+triangles, in blocks of FEATURE_BLOCK gathered floats.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import numpy as np
 
 from .data import pairwise_sq_dists
 
-T_PER_NODE = 50
+T_PER_NODE = 10
 KNN = 300
 POOL_FACTOR = 20
 # floats gathered per triangle vertex in one block of the feature pass

@@ -258,6 +258,8 @@ def _outer_round(source, target, trial, cfg):
         "target_ap_converged": bool(tgt_ex.converged),
         "source_ap_runs": src_ex.ap_runs,
         "target_ap_runs": tgt_ex.ap_runs,
+        "source_ap_capped": src_ex.ap_capped,
+        "target_ap_capped": tgt_ex.ap_capped,
         "source_preference": src_ex.preference,
         "target_preference": tgt_ex.preference,
         "source_ap_target": src_ex.target,

@@ -313,9 +313,7 @@ def reference_sample_triples(rng, n, count, anchor=None):
     return triples
 
 
-def reference_build_sparse_tensor(
-    Xs, Xt, t_per_node=50, knn=300, pool_factor=20, seed=0, exhaustive=False
-):
+def reference_build_sparse_tensor(Xs, Xt, *, t_per_node, knn, pool_factor, seed=0):
     """build_sparse_tensor exactly as the package ran it before it chose
     each source triangle's nearest target triangles by partial selection:
     a full stable argsort of every distance row, and the candidate pair
@@ -324,7 +322,9 @@ def reference_build_sparse_tensor(
     with reference_sample_triples and computes their features with the
     package's own _features_for, so the bit-for-bit comparison checks the
     sampling, the nearest-triangle selection and the dedup; the features
-    themselves are checked against reference_features_for.
+    themselves are checked against reference_features_for. The three
+    sample sizes have no defaults: the package's constants in hgmda.graphs
+    are their only owner.
 
     Sample triangle correspondences and store their similarity values.
 
@@ -333,9 +333,30 @@ def reference_build_sparse_tensor(
     from a shared pool of pool_factor * n_t random target triangles. gamma
     comes from the mean squared feature distance over all candidate pairs.
     The RNG is split per source node, so results do not depend on evaluation
-    order. exhaustive=True enumerates every source triangle and every target
-    vertex ordering instead (only sensible for tiny inputs).
+    order.
     """
+    ns, nt = len(Xs), len(Xt)
+    children = np.random.SeedSequence(seed).spawn(ns + 1)
+    pool = reference_sample_triples(np.random.default_rng(children[ns]), nt, pool_factor * nt)
+    source = [
+        reference_sample_triples(np.random.default_rng(children[i]), ns, t_per_node, anchor=i)
+        for i in range(ns)
+    ]
+    return _reference_tensor(Xs, Xt, pool, source, knn)
+
+
+def reference_exhaustive_tensor(Xs, Xt):
+    """The tensor of reference_build_sparse_tensor over every source
+    triangle and every target vertex ordering, all of them kept (only
+    sensible for tiny inputs)."""
+    pool = np.array(list(permutations(range(len(Xt)), 3)), dtype=int)
+    source = [np.array(list(combinations(range(len(Xs)), 3)), dtype=int)]
+    return _reference_tensor(Xs, Xt, pool, source, len(pool))
+
+
+def _reference_tensor(Xs, Xt, pool, source, knn):
+    """The tensor of the given target pool and source triangle chunks, each
+    source triangle matched to its knn nearest pool triangles."""
     Xs = np.asarray(Xs, dtype=float)
     Xt = np.asarray(Xt, dtype=float)
     ns, nt = Xs.shape[0], Xt.shape[0]
@@ -344,36 +365,14 @@ def reference_build_sparse_tensor(
     N = ns * nt
     if N**3 >= 2**63:
         raise ValueError("pair-index space too large for 64-bit dedup keys")
-
-    if exhaustive:
-        pool = np.array(list(permutations(range(nt), 3)), dtype=int)
-    else:
-        root = np.random.SeedSequence(seed)
-        children = root.spawn(ns + 1)
-        pool_rng = np.random.default_rng(children[ns])
-        pool = reference_sample_triples(pool_rng, nt, pool_factor * nt)
     pool, pool_feats = _features_for(Xt, pool)
     if len(pool) == 0:
         raise ValueError("degenerate target domain: no valid triangles")
-
-    if exhaustive:
-        tri = np.array(list(combinations(range(ns), 3)), dtype=int)
-        chunks = [_features_for(Xs, tri)]
-        k = len(pool)
-    else:
-        chunks = [
-            _features_for(
-                Xs,
-                reference_sample_triples(
-                    np.random.default_rng(children[i]), ns, t_per_node, anchor=i
-                ),
-            )
-            for i in range(ns)
-        ]
-        k = min(knn, len(pool))
+    chunks = [_features_for(Xs, tri) for tri in source]
     chunks = [(tri, feats) for tri, feats in chunks if len(tri)]
     if not chunks:
         raise ValueError("degenerate source domain: no valid triangles")
+    k = min(knn, len(pool))
 
     # per-node chunks keep the knn distance matrices small
     pair_parts = []

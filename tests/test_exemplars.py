@@ -7,6 +7,7 @@ from hgmda import exemplars
 from hgmda.data import pairwise_sq_dists
 from hgmda.exemplars import (
     BISECT_STEPS,
+    STABLE_WINDOW,
     affinity_propagation,
     select_exemplars,
     similarity_matrix,
@@ -231,6 +232,27 @@ class TestSelectExemplars:
         # max(1, round(eta * n)), whether or not the count met it
         got = select_exemplars(np.random.default_rng(n).normal(size=(n, 3)), eta)
         assert got.target == target
+
+    def test_counts_the_runs_stopped_at_the_cap(self, monkeypatch):
+        # each run is one affinity_propagation call, and a run that returns
+        # unconverged ran MAX_ITERS iterations; here 1 of 8 does
+        runs = []
+
+        def recorded(S):
+            ex, converged = affinity_propagation(S)
+            runs.append(converged)
+            return ex, converged
+
+        monkeypatch.setattr(exemplars, "affinity_propagation", recorded)
+        got = select_exemplars(np.random.default_rng(40).normal(size=(40, 10)), 0.5)
+        assert (got.ap_runs, got.ap_capped) == (len(runs), runs.count(False)) == (8, 1)
+
+    def test_every_run_is_capped_below_the_stable_window(self, monkeypatch):
+        monkeypatch.setattr(exemplars, "MAX_ITERS", STABLE_WINDOW - 1)
+        got = select_exemplars(np.random.default_rng(1).normal(size=(30, 4)), 0.3)
+        assert got.ap_runs >= 1
+        assert got.ap_capped == got.ap_runs
+        assert not got.converged
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):

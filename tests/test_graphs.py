@@ -22,6 +22,7 @@ from hgmda.graphs import (
 
 from oracles import (
     reference_build_sparse_tensor,
+    reference_exhaustive_tensor,
     reference_features_for,
     reference_sample_triples,
     triangle_sines,
@@ -147,7 +148,7 @@ class TestGammaHeuristic:
         rng = np.random.default_rng(11)
         Xs = rng.normal(size=(3, 2))
         Xt = rng.normal(size=(3, 2))
-        tensor = reference_build_sparse_tensor(Xs, Xt, exhaustive=True)
+        tensor = reference_exhaustive_tensor(Xs, Xt)
         fs = triangle_sines(*Xs)
         d2 = [
             ((fs - triangle_sines(*Xt[list(order)])) ** 2).sum()
@@ -275,10 +276,14 @@ REFERENCE_CASES = {
         lattice(10, 4), lattice(12, 4) + 3.0,
         dict(t_per_node=20, knn=25, pool_factor=6, seed=3),
     ),
-    "lattice-square": (lattice(16, 4), lattice(16, 4), dict(t_per_node=30, knn=100, seed=5)),
+    "lattice-square": (
+        lattice(16, 4), lattice(16, 4), dict(t_per_node=30, knn=100, pool_factor=20, seed=5),
+    ),
     # a pool of 3 * 5 target triangles, all of them kept
     "k-is-pool": (*normals(1, 6, 5, 2), dict(t_per_node=4, knn=15, pool_factor=3, seed=1)),
-    "2-d": (*normals(3, 30, 60, 2), dict(seed=7)),
+    # five times the package's source triangles per node: the bit-identity
+    # check keeps covering a full-size sample
+    "2-d": (*normals(3, 30, 60, 2), dict(t_per_node=50, knn=300, pool_factor=20, seed=7)),
     "800-d": (*normals(4, 12, 15, 800), dict(t_per_node=10, knn=30, pool_factor=5, seed=2)),
 }
 

@@ -25,6 +25,7 @@ from oracles import (
     dense_contraction,
     dense_tensor,
     reference_build_sparse_tensor,
+    reference_exhaustive_tensor,
     reference_f3_and_grad,
     reference_fg_and_grad,
 )
@@ -44,7 +45,7 @@ def random_context(rng, ns=None, nt=None, d=None, with_tensor=False, with_groups
         np.fill_diagonal(A, 0.0)
         return A
 
-    tensor = reference_build_sparse_tensor(Xs, Xt, exhaustive=True) if with_tensor else None
+    tensor = reference_exhaustive_tensor(Xs, Xt) if with_tensor else None
     groups = None
     if with_groups:
         labels = rng.integers(1, 3, size=ns)
@@ -208,12 +209,15 @@ class TestF3MatchesBincountReference:
 
     # the sampled tensors are the package's bit for bit (test_graphs); the
     # exhaustive one holds every triangle pair
-    CASES = {**REFERENCE_CASES, "exhaustive": (*normals(2, 5, 4, 2), dict(exhaustive=True))}
+    CASES = {**REFERENCE_CASES, "exhaustive": (*normals(2, 5, 4, 2), None)}
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reference_case_tensors(self, case):
         Xs, Xt, kwargs = self.CASES[case]
-        tensor = reference_build_sparse_tensor(Xs, Xt, **kwargs)
+        if kwargs is None:
+            tensor = reference_exhaustive_tensor(Xs, Xt)
+        else:
+            tensor = reference_build_sparse_tensor(Xs, Xt, **kwargs)
         ns, nt = len(Xs), len(Xt)
         ctx = ObjectiveContext(Xs, Xt, np.zeros((ns, ns)), np.zeros((nt, nt)), tensor=tensor)
         C = interior_matrix(np.random.default_rng(len(case)), ns, nt)

@@ -171,6 +171,16 @@ class TestAdaptLoop:
         assert res.rounds[0]["target_preference"] == res.rounds[1]["target_preference"]
         json.dumps(res.rounds)
 
+    def test_records_the_ap_runs_stopped_at_the_cap(self, monkeypatch):
+        # below the stable window every AP run stops at the cap
+        src, Xt = blob_pair()
+        monkeypatch.setattr(exemplars, "MAX_ITERS", exemplars.STABLE_WINDOW - 1)
+        (r,) = adapt(src, Xt, AdaptationConfig(eta=0.5, cg_iters=2)).rounds
+        for side in ("source", "target"):
+            assert r[f"{side}_ap_capped"] == r[f"{side}_ap_runs"] >= 1
+        (r,) = adapt(src, Xt, AdaptationConfig(eta=1.0, cg_iters=2)).rounds
+        assert r["source_ap_capped"] == r["target_ap_capped"] == 0
+
     def test_stage_times_without_tensor_or_ap(self):
         src, Xt = blob_pair()
         res = adapt(src, Xt, AdaptationConfig(eta=1.0, cg_iters=5))
@@ -189,6 +199,19 @@ class TestAdaptLoop:
         assert record["feasible"] is True
         solver = record["solver"]
         assert max(solver["row_residuals"][-1], solver["col_residuals"][-1]) <= 1e-12
+
+    def test_sampled_tensor_still_carries_the_third_order_term(self):
+        # the rotated task gains from triangle matching at the package's
+        # sample sizes: 0.950 against 0.863 without it (0.938 with 50
+        # source triangles per node)
+        source, Xt, yt = rotated_gaussian_task(n_per_class=40, seed=0)
+
+        def score(lam3):
+            cfg = AdaptationConfig(lam2=0.01, lam3=lam3, lam_g=0.01, cg_iters=20, admm_iters=8000)
+            mapped = LabeledDataset(adapt(source, Xt, cfg).adapted, source.labels, source.num_classes)
+            return accuracy(knn_predict(mapped, Xt), yt)
+
+        assert score(0.1) >= score(0.0) + 0.05
 
     def test_infeasible_matching_is_flagged_once(self, monkeypatch):
         # the solver's output is always feasible, so the warning path is
