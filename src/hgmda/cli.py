@@ -119,6 +119,9 @@ def _cmd_evaluate(args):
 
 def _cmd_benchmark(args):
     specs, seed = load_benchmark_file(args.spec)
+    # a path that cannot be written fails before the first task; appending
+    # leaves an existing file as it is until the table replaces it
+    open(args.out, "a", encoding="utf-8").close()
     rows = run_benchmark(specs, seed=seed)
     csv_text, pretty = benchmark_table(rows)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -90,18 +90,34 @@ class ExperimentSpec:
 
 @dataclass
 class ResultRecord:
+    """One task's per-trial accuracies: the best combo's on the adapted
+    target half and on the held-out half, and the no-adaptation baseline's
+    on each. The means are read from these lists, not stored."""
+
     name: str
     per_trial: list
-    mean: float
     held_per_trial: list
-    held_mean: float
     na_per_trial: list
-    na_mean: float
     na_held_per_trial: list
-    na_held_mean: float
     best_lam2: float
     best_lam3: float
     best_n_outer: int
+
+    @property
+    def mean(self):
+        return float(np.mean(self.per_trial))
+
+    @property
+    def held_mean(self):
+        return float(np.mean(self.held_per_trial))
+
+    @property
+    def na_mean(self):
+        return float(np.mean(self.na_per_trial))
+
+    @property
+    def na_held_mean(self):
+        return float(np.mean(self.na_held_per_trial))
 
 
 def _sample_source(source: LabeledDataset, quota, rng):
@@ -155,7 +171,7 @@ def run_task(spec: ExperimentSpec, seed=0):
         na_held[trial] = accuracy(knn_predict(sampled, Xh), yh)
 
         # the trial's combos share what no weight changes (see _reuse_rounds)
-        with _reuse_rounds():
+        with _reuse_rounds(sampled, Xa):
             for ci, cfg in enumerate(spec.configs(adapt_seed)):
                 result = adapt(sampled, Xa, cfg)
                 adapted = LabeledDataset(
@@ -175,13 +191,9 @@ def run_task(spec: ExperimentSpec, seed=0):
     return ResultRecord(
         name=spec.name,
         per_trial=acc[best].tolist(),
-        mean=float(acc[best].mean()),
         held_per_trial=held[best].tolist(),
-        held_mean=float(held[best].mean()),
         na_per_trial=na.tolist(),
-        na_mean=float(na.mean()),
         na_held_per_trial=na_held.tolist(),
-        na_held_mean=float(na_held.mean()),
         best_lam2=best_cfg.lam2,
         best_lam3=best_cfg.lam3,
         best_n_outer=best_cfg.n_outer,
@@ -262,10 +274,10 @@ def load_benchmark_file(path):
     four dataset paths and may set its own per_class. A key the file leaves
     out keeps the ExperimentSpec default. An unknown key (at the top level,
     in config or in a task), a value of the wrong JSON type (a task's name
-    and paths must be strings) and a value that ExperimentSpec rejects (an
-    empty grid among them) raise a ValueError naming the file and the key as
-    the file spells it, such as config.cg_iters or tasks[0].per_class, before
-    any task runs.
+    and paths must be strings), a negative seed and a value that
+    ExperimentSpec rejects (an empty grid or a non-finite weight among them)
+    raise a ValueError naming the file and the key as the file spells it,
+    such as config.cg_iters or tasks[0].per_class, before any task runs.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -305,6 +317,8 @@ def load_benchmark_file(path):
             f"{path}: unknown config keys {unknown}; config takes {list(_CONFIG_KEYS)}"
         )
     seed = need("seed", doc.get("seed", 0), int)
+    if seed < 0:
+        raise ValueError(f"{path}: bad value in 'seed': seed must be >= 0")
     template = ExperimentSpec("", "", "", "", "")  # each task's spec, paths aside
     for name, value in config.items():
         template = check(f"config.{name}", template, name, value, int)

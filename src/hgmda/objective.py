@@ -33,6 +33,9 @@ class ObjectiveWeights:
     lam_g: float = 0.0
 
     def __post_init__(self):
+        # a nan weight would drop its term: every term is used only when its weight is > 0
+        if not np.all(np.isfinite([self.lam2, self.lam3, self.lam_g])):
+            raise ValueError("weights must be finite")
         if self.lam2 < 0 or self.lam3 < 0 or self.lam_g < 0:
             raise ValueError("weights must be non-negative")
 

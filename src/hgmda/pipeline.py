@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import copy
-import hashlib
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -54,8 +53,9 @@ class AdaptationConfig:
             raise ValueError("n_outer must be >= 1")
         if self.cg_iters < 1 or self.admm_iters < 1:
             raise ValueError("cg_iters and admm_iters must be >= 1")
-        if min(self.lam2, self.lam3, self.lam_g) < 0.0:
-            raise ValueError("weights must be non-negative")
+        ObjectiveWeights(self.lam2, self.lam3, self.lam_g)  # raises on a bad weight
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,53 +105,41 @@ STAGES = ("exemplars", "graphs", "tensor", "solver", "ridge")
 
 @dataclass
 class _Trial:
-    """What adapt runs compute on one set of inputs.
+    """What the adapt runs on one source and one target compute.
 
-    The target's and the round-1 source's (exemplars, bandwidth, adjacency)
-    and the round-1 tensor depend on the data and the config but on none of
-    lam2, lam3 and n_outer, so every run that differs only in those shares
-    them; the tensor is built the first time a run has lam3 > 0. rounds[k]
-    is the AdaptResult that a run with n_outer = k + 1 and the last weights,
-    (lam2, lam3), returns. That run reproduces the first k + 1 rounds of any
-    longer run with the same weights exactly, so a longer run continues from
-    the kept rounds instead of recomputing them.
+    graphs, the target's and the round-1 source's (exemplars, bandwidth,
+    adjacency), and tensor, the round-1 tensor, depend on none of lam2,
+    lam3 and n_outer, so every run whose config differs from cfg only in
+    those shares them. rounds[k] is the AdaptResult that a run with
+    n_outer = k + 1 and the weights (lam2, lam3) returns. It reproduces the
+    first k + 1 rounds of any longer run with those weights exactly, so a
+    longer run continues from the kept rounds.
     """
 
-    key: object
-    target: Optional[tuple] = None
-    source: Optional[tuple] = None
+    source: LabeledDataset
+    target: np.ndarray
+    cfg: Optional[AdaptationConfig] = None
+    graphs: Optional[tuple] = None
     tensor: Optional[SparseTensor3] = None
     weights: Optional[tuple] = None
     rounds: list = field(default_factory=list)
 
 
-# single-slot store of the last _Trial, open only inside _reuse_rounds
-_TRIAL_SLOT = contextvars.ContextVar("hgmda_trial_slot", default=None)
+# the _Trial of the innermost open _reuse_rounds
+_TRIAL = contextvars.ContextVar("hgmda_trial", default=None)
 
 
 @contextlib.contextmanager
-def _reuse_rounds():
-    """Within this scope adapt keeps what its last run computed. A later
-    call on the same inputs and config (lam2, lam3 and n_outer aside) takes
-    the target's graph, the round-1 source graph and the round-1 tensor
-    from it; with the same lam2 and lam3 it also replays the rounds
-    already completed, computing only the rounds after them. A call on
-    other inputs or config replaces the kept trial; nothing is kept once
-    the scope closes."""
-    token = _TRIAL_SLOT.set([None])
+def _reuse_rounds(source, target):
+    """Within this scope the adapt calls on these very source and target
+    objects share one _Trial, as long as their configs differ from the
+    first one's only in lam2, lam3 and n_outer. Every other call computes
+    alone, and nothing is kept once the scope closes."""
+    token = _TRIAL.set(_Trial(source, target))
     try:
         yield
     finally:
-        _TRIAL_SLOT.reset(token)
-
-
-def _trial_key(source, target, cfg):
-    digest = hashlib.blake2b(digest_size=16)
-    for arr in (source.features, source.labels, target):
-        arr = np.ascontiguousarray(arr)
-        digest.update(f"{arr.shape}{arr.dtype.str}".encode())
-        digest.update(arr.tobytes())
-    return digest.digest(), source.num_classes, replace(cfg, n_outer=1, lam2=0.0, lam3=0.0)
+        _TRIAL.reset(token)
 
 
 @contextlib.contextmanager
@@ -178,13 +166,14 @@ def _spread(X):
     return float(np.sqrt(((X - X.mean(axis=0)) ** 2).sum(axis=1).mean()))
 
 
-def _outer_round(source, target, trial, cfg):
+def _outer_round(trial, cfg):
     """The round after trial.rounds: match the current source exemplars to
     the target exemplars and map the whole current source through the
     ridge fit. Round 1 takes its graphs and tensor from the trial: the
     trial's first round 1 builds both graphs there, and its first with
     lam3 > 0 builds the tensor. Returns the AdaptResult of a run ending here."""
     t0 = time.perf_counter()
+    source = trial.source
     times = dict.fromkeys(STAGES, 0.0)
     earlier = trial.rounds[-1] if trial.rounds else None
     round_index = len(trial.rounds) + 1
@@ -205,15 +194,12 @@ def _outer_round(source, target, trial, cfg):
             sigma = sigma_heuristic(ex.features)
             return ex, sigma, adjacency_matrix(ex.features, sigma)
 
-    if trial.source is None:
+    if trial.graphs is None:
         # a new trial: the graphs that no weight changes, kept only if both build
-        trial.target, trial.source = (
-            graph(target, None, "target"), graph(current, source.labels, "source")
-        )
-    tgt_ex, sigma_t, Dt = trial.target
-    src_ex, sigma_s, Ds = (
-        trial.source if round_index == 1 else graph(current, source.labels, "source")
-    )
+        trial.graphs = graph(trial.target, None, "target"), graph(current, source.labels, "source")
+    (tgt_ex, sigma_t, Dt), (src_ex, sigma_s, Ds) = trial.graphs
+    if round_index > 1:
+        src_ex, sigma_s, Ds = graph(current, source.labels, "source")
 
     tensor = None
     if cfg.lam3 > 0.0:
@@ -225,18 +211,9 @@ def _outer_round(source, target, trial, cfg):
                 )
                 if round_index == 1:
                     trial.tensor = tensor
-    groups = None
-    if cfg.lam_g > 0.0:
-        groups = class_index_sets(src_ex.labels, source.num_classes)
-
-    ctx = ObjectiveContext(
-        Xs=src_ex.features,
-        Xt=tgt_ex.features,
-        Ds=Ds,
-        Dt=Dt,
-        tensor=tensor,
-        class_groups=groups,
-    )
+    groups = class_index_sets(src_ex.labels, source.num_classes) if cfg.lam_g > 0.0 else None
+    ctx = ObjectiveContext(Xs=src_ex.features, Xt=tgt_ex.features, Ds=Ds, Dt=Dt,
+                           tensor=tensor, class_groups=groups)
     with _timed(times, "solver"):
         C_star, diag = cg_solve(
             ctx,
@@ -293,21 +270,25 @@ def adapt(source: LabeledDataset, target, cfg: AdaptationConfig):
     coincide or they yield no valid triangle (naming the round, and the
     domain for the first two).
     Emits a RuntimeWarning for each round whose matching breaks
-    FEASIBILITY_TOL. Inside _reuse_rounds, inputs and rounds an earlier
-    call on the same inputs already computed are reused, not recomputed.
+    FEASIBILITY_TOL. Work is shared only among the calls that run_task
+    makes within one trial, on its sampled source and target half (see
+    _reuse_rounds); a direct call always computes all of its rounds.
     """
     target = source.matching_features(target, "target", "source")
 
-    slot = _TRIAL_SLOT.get() or [None]  # outside _reuse_rounds the trial is not kept
-    key = _trial_key(source, target, cfg)
-    if slot[0] is None or slot[0].key != key:
-        slot[0] = _Trial(key=key)
-    trial = slot[0]
+    shared = replace(cfg, lam2=0.0, lam3=0.0, n_outer=1)
+    trial = _TRIAL.get()
+    if trial is None or trial.source is not source or trial.target is not target:
+        trial = _Trial(source, target, shared)
+    elif trial.cfg is None:
+        trial.cfg = shared  # the first call in the scope
+    if trial.cfg != shared:
+        trial = _Trial(source, target, shared)
     if trial.weights != (cfg.lam2, cfg.lam3):
         trial.weights = (cfg.lam2, cfg.lam3)
         trial.rounds = []
     while len(trial.rounds) < cfg.n_outer:
-        trial.rounds.append(_outer_round(source, target, trial, cfg))
+        trial.rounds.append(_outer_round(trial, cfg))
 
     result = trial.rounds[cfg.n_outer - 1]
     for record in result.rounds:

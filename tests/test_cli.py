@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hgmda.cli
+import hgmda.evaluation
 from hgmda.cli import _permutation_minimum, main
 from hgmda.data import NonFiniteError, load_features, write_features
 from hgmda.synthetic import rotated_gaussian_task
@@ -107,6 +108,25 @@ class TestAdaptCommand:
         ])
         assert code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lambda2", "nan"], "weights must be finite"),
+        (["--lambda3", "inf"], "weights must be finite"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["nan-weight", "inf-weight", "negative-seed"])
+    def test_bad_setting_is_exit_one(self, task_files, tmp_path, capsys, flags, message):
+        # rejected when the config is built, so nothing runs and nothing is written
+        code = main([
+            "adapt",
+            "--source-features", task_files["source_features"],
+            "--source-labels", task_files["source_labels"],
+            "--target-features", task_files["target_features"],
+            *flags,
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_numerical_failure_is_exit_two(self, task_files, tmp_path, capsys, monkeypatch):
         def failing(*args):
@@ -257,6 +277,11 @@ class TestBenchmarkCommand:
         ({"target_fraction": 1},
          "bench.json: bad value in 'target_fraction': target_fraction must lie in (0, 1)"),
         ({"tasks": ["toy"]}, "bench.json: each task needs an object, got 'toy'"),
+        # json reads NaN and Infinity; a nan weight would drop its term
+        ({"lambda2_grid": [float("nan")]},
+         "bench.json: bad value in 'lambda2_grid': weights must be finite"),
+        ({"lambda_g": float("inf")}, "bench.json: bad value in 'lambda_g': weights must be finite"),
+        ({"seed": -1}, "bench.json: bad value in 'seed': seed must be >= 0"),
     ], ids=["unknown-key", "zero-admm-iters", "zero-cg-iters", "eta-above-one",
             "negative-lambda-g", "ap", "str-eta", "null-trials", "scalar-grid",
             "str-int", "float-int", "bool-float", "t-per-node", "knn", "pool-factor",
@@ -265,7 +290,8 @@ class TestBenchmarkCommand:
             "unknown-top-level-key", "unknown-task-key", "eta-twice", "lambda-g-twice",
             "int-path", "null-target-labels", "int-name", "empty-grid", "config-seed",
             "grid-and-config", "config-lam2", "config-n-outer", "zero-per-class",
-            "zero-task-per-class", "zero-trials", "whole-target-fraction", "string-task"])
+            "zero-task-per-class", "zero-trials", "whole-target-fraction", "string-task",
+            "nan-grid", "infinite-lambda-g", "negative-seed"])
     def test_bad_config_is_exit_one(self, task_files, tmp_path, capsys, extra, message):
         # rejected while the spec is read, before any task runs, as an input
         # error that names the key rather than a traceback
@@ -282,6 +308,42 @@ class TestBenchmarkCommand:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_unwritable_out_fails_before_any_task(self, task_files, tmp_path, capsys,
+                                                  monkeypatch):
+        tasks = []
+        run_task = hgmda.evaluation.run_task
+        monkeypatch.setattr(hgmda.evaluation, "run_task",
+                            lambda spec, seed=0: tasks.append(spec) or run_task(spec, seed))
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps({"trials": 1, "tasks": [dict(name="toy", **task_files)]}))
+        out = tmp_path / "missing" / "dir" / "out.csv"
+        code = main(["benchmark", "--spec", str(spec_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert tasks == []
+
+    def test_existing_out_is_kept_until_the_table_replaces_it(self, task_files, tmp_path,
+                                                              capsys, monkeypatch):
+        out = tmp_path / "out.csv"
+        out.write_text("an earlier table\n")
+        seen = []
+        run_task = hgmda.evaluation.run_task
+        def reading(spec, seed=0):
+            seen.append(out.read_text())
+            return run_task(spec, seed)
+
+        monkeypatch.setattr(hgmda.evaluation, "run_task", reading)
+        spec_path = tmp_path / "bench.json"
+        spec_path.write_text(json.dumps({
+            "trials": 1, "per_class": 5, "config": {"cg_iters": 2, "admm_iters": 50},
+            "tasks": [dict(name="toy", **task_files)],
+        }))
+        assert main(["benchmark", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert seen == ["an earlier table\n"]
+        assert out.read_text().startswith("task,")
+        capsys.readouterr()
 
     def test_missing_spec_is_exit_one(self, tmp_path, capsys):
         code = main(["benchmark", "--spec", str(tmp_path / "absent.json")])

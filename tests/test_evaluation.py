@@ -245,11 +245,13 @@ class TestRoundReuse:
         # per trial: 1 target, 1 round-1 source and 4 round-2 source
         # adjacencies, not 1 + 4 x 2
         assert len(adjacencies) == 2 * 6
-        assert hgmda.pipeline._TRIAL_SLOT.get() is None
+        assert hgmda.pipeline._TRIAL.get() is None
 
-    def test_other_inputs_replace_the_kept_trial(self, monkeypatch):
-        """Within one scope, a call on other target rows or another eta is
-        solved, not replayed, and the trial it leaves is the one kept."""
+    def test_other_inputs_are_solved_alone(self, monkeypatch):
+        """Within a scope, a call on a copy of the scope's target, on another
+        source object or with another eta is solved alone and leaves the
+        scope's trial as it was: a call on the scope's own inputs still
+        replays. Outside any scope every call is solved."""
         solves = []
         solve = hgmda.pipeline.cg_solve
 
@@ -260,19 +262,23 @@ class TestRoundReuse:
         monkeypatch.setattr(hgmda.pipeline, "cg_solve", counting)
         source, target = rotated_gaussian_task(n_per_class=10, seed=0)[:2]
         cfg = AdaptationConfig(eta=0.5, lam2=0.01, lam_g=0.01, cg_iters=8, admm_iters=800)
-        # (A), (B) with other target rows, (A) with another eta, (A) again, and
-        # (A) once more, which alone finds its trial kept
-        a, b = (target, cfg), (target[1:], cfg)
-        calls = [a, b, (target, replace(cfg, eta=0.8)), a, a]
+        calls = [(source, target, cfg), (source, target.copy(), cfg),
+                 (replace(source), target, cfg), (source, target, replace(cfg, eta=0.8)),
+                 (source, target, cfg)]
         seen, solved = [], []
-        with hgmda.pipeline._reuse_rounds():
-            for tgt, c in calls:
-                before = len(solves)
-                res = adapt(source, tgt, c)
-                solved.append(len(solves) - before)
-                seen.append((source, tgt, c, res.adapted, res.matching, res.source_exemplars,
-                             res.target_exemplars, without_wall_times(res.rounds)))
-        assert solved == [1, 1, 1, 1, 0]
+
+        def run(src, tgt, c):
+            before = len(solves)
+            res = adapt(src, tgt, c)
+            solved.append(len(solves) - before)
+            seen.append((src, tgt, c, res.adapted, res.matching, res.source_exemplars,
+                         res.target_exemplars, without_wall_times(res.rounds)))
+
+        with hgmda.pipeline._reuse_rounds(source, target):
+            for call in calls:
+                run(*call)
+        run(source, target, cfg)
+        assert solved == [1, 1, 1, 1, 0, 1]
         self.assert_match_fresh(seen)
 
     # (2, 2): a repeated N_T is handed the same kept round twice

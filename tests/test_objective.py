@@ -373,6 +373,17 @@ class TestFgMatchesLoopReference:
 
 
 class TestTotal:
+    @pytest.mark.parametrize("weight", ["lam2", "lam3", "lam_g"])
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "weights must be finite"),
+        (float("inf"), "weights must be finite"),
+        (-0.1, "weights must be non-negative"),
+    ])
+    def test_bad_weight_is_rejected(self, weight, value, message):
+        # a nan weight would silently drop its term, which is used only when > 0
+        with pytest.raises(ValueError, match=message):
+            ObjectiveWeights(**{weight: value})
+
     def test_zero_weights_reduce_to_first_term(self):
         rng = np.random.default_rng(14)
         ctx = random_context(rng)
