@@ -81,10 +81,25 @@ def _build_parser():
     return parser
 
 
+def _check_out_dir(path):
+    """Fails before any work when the directory path could not be made or
+    written to, without making it: a failed run leaves no --out behind. Its
+    nearest existing ancestor, path itself included, must be a writable
+    directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(f"--out {path}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise PermissionError(f"--out {path}: {existing} is not writable")
+
+
 def _cmd_adapt(args):
+    cfg = AdaptationConfig(**{name: getattr(args, name) for name in _ADAPT_FLAGS.values()})
+    _check_out_dir(args.out)
     source = load_dataset(args.source_features, args.source_labels)
     target = load_features(args.target_features)
-    cfg = AdaptationConfig(**{name: getattr(args, name) for name in _ADAPT_FLAGS.values()})
     result = adapt(source, target, cfg)
     os.makedirs(args.out, exist_ok=True)
     write_features(os.path.join(args.out, "adapted.csv"), result.adapted)

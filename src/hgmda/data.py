@@ -17,6 +17,14 @@ class NonFiniteError(RuntimeError):
     """Raised when a computation produces NaN or Inf."""
 
 
+def _check_finite(X, role):
+    """Raises a ValueError naming role and the first row of X that holds a
+    NaN or an infinity."""
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{role} features hold a non-finite value in row {bad[0]}")
+
+
 def load_features(path):
     """Parse a headerless CSV of real numbers into an (n, d) float array."""
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -97,6 +105,7 @@ class LabeledDataset:
             raise ValueError(
                 f"features need 2 dimensions (rows, columns), got shape {self.features.shape}"
             )
+        _check_finite(self.features, "dataset")
         if self.labels.ndim != 1:
             raise ValueError(f"labels need 1 dimension, got shape {self.labels.shape}")
         if self.features.shape[0] != self.labels.shape[0]:
@@ -116,9 +125,9 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def matching_features(self, X, role, own_role):
-        """X as a float array, if it is 2-D with this dataset's column count;
-        otherwise a ValueError naming both shapes, with role and own_role
-        naming X and this dataset."""
+        """X as a float array, if it is 2-D with this dataset's column count
+        and finite; otherwise a ValueError naming both shapes, or the first
+        non-finite row, with role and own_role naming X and this dataset."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(
@@ -126,6 +135,7 @@ class LabeledDataset:
                 f"{self.features.shape}, {role} shape {X.shape}; the {role} features "
                 f"need 2 dimensions (rows, columns) and {self.d} columns"
             )
+        _check_finite(X, role)
         return X
 
 

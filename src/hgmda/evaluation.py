@@ -23,7 +23,7 @@ import numpy as np
 from .data import (
     LabeledDataset, class_index_sets, load_dataset, load_features, load_labels, pairwise_sq_dists
 )
-from .pipeline import AdaptationConfig, _reuse_rounds, adapt
+from .pipeline import AdaptationConfig, _require_integers, _reuse_rounds, adapt
 
 log = logging.getLogger(__name__)
 
@@ -67,6 +67,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.target_labels is None:
             raise ValueError(f"{self.name}: target labels are required for scoring")
+        _require_integers(self, ("per_class", "trials"))
         if self.per_class < 1:
             raise ValueError("per_class must be >= 1")
         if not 0.0 < self.target_fraction < 1.0:

@@ -33,7 +33,11 @@ Each generator (one per source node, one for the pool) draws all of its
 triangles in one call, and they are the triangles that one rng.choice call
 per triangle gave, so the tensor does not depend on how they are drawn.
 Their features are then computed in one vectorised pass over all sampled
-triangles, in blocks of FEATURE_BLOCK gathered floats.
+triangles, in blocks of FEATURE_BLOCK gathered floats, and each source
+node's run of at most T_PER_NODE triangles is scored against the pool at
+once. Merged runs would hold larger distance matrices, and would change the
+last bits of a node that keeps one triangle: numpy scores a single row as a
+matrix-vector product, which rounds differently.
 """
 
 from __future__ import annotations
@@ -245,7 +249,7 @@ def build_sparse_tensor(Xs, Xt, seed=0):
     from a shared pool of POOL_FACTOR * n_t random target triangles. gamma
     comes from the mean squared feature distance over all candidate pairs.
     The RNG is split per source node, so results do not depend on evaluation
-    order.
+    order. Each node's triangles are scored against the pool in one block.
     """
     Xs = np.asarray(Xs, dtype=float)
     Xt = np.asarray(Xt, dtype=float)
@@ -261,51 +265,34 @@ def build_sparse_tensor(Xs, Xt, seed=0):
     pool, pool_feats = _features_for(Xt, pool)
     if len(pool) == 0:
         raise ValueError("degenerate target domain: no valid triangles")
-
-    chunks = [
-        _features_for(
-            Xs, _sample_triples(np.random.default_rng(children[i]), ns, T_PER_NODE, anchor=i)
-        )
+    source = np.concatenate([
+        _sample_triples(np.random.default_rng(children[i]), ns, T_PER_NODE, anchor=i)
         for i in range(ns)
-    ]
-    chunks = [(tri, feats) for tri, feats in chunks if len(tri)]
-    if not chunks:
+    ])
+    source, source_feats = _features_for(Xs, source)
+    if len(source) == 0:
         raise ValueError("degenerate source domain: no valid triangles")
     k = min(KNN, len(pool))
 
-    # per-node chunks keep the knn distance matrices small; each candidate
-    # is kept only as its distance and the int64 key of its ascending pair
-    # indices, written straight into its slice of the candidate arrays
-    total = k * sum(len(tri) for tri, _ in chunks)
-    cand_d2 = np.empty(total)
-    keys = np.empty(total, dtype=np.int64)
+    # each candidate is kept only as its distance and the int64 key of its
+    # ascending pair indices, in its node's slice of the candidate arrays
+    cand_d2 = np.empty(k * len(source))
+    keys = np.empty(k * len(source), dtype=np.int64)
     pool_cols = pool.T.copy()
-    # a block of pair indices per slot, then a spare for the sorting network
-    work = np.empty((4, max(len(tri) for tri, _ in chunks), k), dtype=np.int64)
-    end = 0
-    for tri, feats in chunks:
-        d2 = pairwise_sq_dists(feats, pool_feats)
+    bounds = np.flatnonzero(np.diff(source[:, 0])) + 1  # where the node changes
+    for start, stop in zip([0, *bounds], [*bounds, len(source)]):
+        tri = source[start:stop]
         # nearest pool triangles first, ties to the one sampled earlier
-        cols, near = _nearest_columns(d2, k)
-        start, end = end, end + cols.size
-        cand_d2[start:end] = near.ravel()
-        a, b, c, lo = work[:, : len(tri)]
-        for slot, pair in enumerate((a, b, c)):
-            # cols is in range: mode="wrap" skips the bounds check and its copy
-            pool_cols[slot].take(cols, out=pair, mode="wrap")
-            pair += tri[:, slot, None] * nt
-        # a min/max network puts each candidate's pair indices in order:
-        # lo <= b <= c
-        np.minimum(a, b, out=lo)
-        np.maximum(a, b, out=b)
-        np.minimum(b, c, out=a)
-        np.maximum(b, c, out=c)
-        np.maximum(lo, a, out=b)
-        np.minimum(lo, a, out=lo)
-        lo *= N
-        lo += b
-        lo *= N
-        np.add(lo, c, out=keys[start:end].reshape(cols.shape))
+        cols, near = _nearest_columns(pairwise_sq_dists(source_feats[start:stop], pool_feats), k)
+        block = slice(k * start, k * stop)
+        cand_d2[block] = near.ravel()
+        # cols is in range: mode="wrap" skips the bounds check
+        a, b, c = (pool_cols[s].take(cols, mode="wrap") + tri[:, s, None] * nt for s in range(3))
+        # a min/max network sorts each candidate's pair indices: a <= b <= c
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        b, c = np.minimum(b, c), np.maximum(b, c)
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        keys[block] = ((a * N + b) * N + c).ravel()
 
     mean_sq = float(cand_d2.mean())
     gamma = 1.0 if mean_sq == 0.0 else 1.0 / mean_sq

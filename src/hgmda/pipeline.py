@@ -35,6 +35,15 @@ FEASIBILITY_TOL = 1e-3
 RIDGE_MU = 1e-3
 
 
+def _require_integers(obj, names):
+    """Raises a ValueError naming the first of obj's fields names that
+    holds no integer. A bool is not one; a numpy integer is."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdaptationConfig:
     eta: float = 1.0
@@ -47,6 +56,7 @@ class AdaptationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, ("n_outer", "cg_iters", "admm_iters", "seed"))
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if self.n_outer < 1:

@@ -9,6 +9,7 @@ import hgmda.cli
 import hgmda.evaluation
 from hgmda.cli import _permutation_minimum, main
 from hgmda.data import NonFiniteError, load_features, write_features
+from hgmda.pipeline import AdaptResult
 from hgmda.synthetic import rotated_gaussian_task
 
 from oracles import permutation_minimum as oracle_perm_min
@@ -144,6 +145,45 @@ class TestAdaptCommand:
         err = capsys.readouterr().err
         assert err == "numerical failure: round 1: adapted features non-finite\n"
         assert not (tmp_path / "run").exists()
+
+    def test_unusable_out_fails_before_adapting(self, task_files, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hgmda.cli, "adapt", lambda *args: calls.append(args))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "run"
+        code = main([
+            "adapt",
+            "--source-features", task_files["source_features"],
+            "--source-labels", task_files["source_labels"],
+            "--target-features", task_files["target_features"],
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
+        assert calls == []
+
+    def test_missing_out_parents_are_made_after_the_run(self, task_files, tmp_path, capsys,
+                                                         monkeypatch):
+        made = []
+
+        def fake(source, target, cfg):
+            made.append((tmp_path / "a").exists())
+            return AdaptResult(np.eye(2), np.eye(2), np.arange(2), np.arange(2), rounds=[])
+
+        monkeypatch.setattr(hgmda.cli, "adapt", fake)
+        out = tmp_path / "a" / "b" / "run"
+        code = main([
+            "adapt",
+            "--source-features", task_files["source_features"],
+            "--source-labels", task_files["source_labels"],
+            "--target-features", task_files["target_features"],
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert made == [False]
+        assert (out / "report.json").exists()
+        capsys.readouterr()
 
 
 class TestEvaluateCommand:

@@ -153,6 +153,13 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="absent"):
             LabeledDataset(np.zeros((2, 2)), np.array([1, 3]), 3)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_features_rejected(self, value):
+        X = np.zeros((3, 2))
+        X[1, 0] = value
+        with pytest.raises(ValueError, match="dataset features hold a non-finite value in row 1"):
+            LabeledDataset(X, np.array([1, 2, 1]), 2)
+
     def test_load_dataset(self, tmp_path):
         f = write(tmp_path, "f.csv", "0,1\n2,3\n4,5")
         l = write(tmp_path, "l.csv", "2\n1\n2")

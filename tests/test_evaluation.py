@@ -82,6 +82,15 @@ class TestKnnPredict:
         with pytest.raises(ValueError, match=r"training shape \(2, 2\), test shape \(1, 3\)"):
             knn_predict(train, [[1.0, 2.0, 3.0]])
 
+    def test_non_finite_test_row_names_the_test_features(self):
+        train = LabeledDataset(
+            features=np.array([[0.0, 0.0], [10.0, 10.0]]),
+            labels=np.array([1, 2]),
+            num_classes=2,
+        )
+        with pytest.raises(ValueError, match="test features hold a non-finite value in row 1"):
+            knn_predict(train, [[9.0, 9.0], [np.nan, 9.0]])
+
     def test_empty_training_set_rejected_at_construction(self):
         with pytest.raises(ValueError):
             LabeledDataset(
@@ -330,6 +339,15 @@ class TestSpecValidation:
         paths = write_task_files(tmp_path)
         with pytest.raises(ValueError):
             small_spec(paths, trials=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("trials", True), ("per_class", 5.0),
+    ])
+    def test_counts_must_be_integers(self, tmp_path, field, value):
+        paths = write_task_files(tmp_path)
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            small_spec(paths, **{field: value})
+        assert getattr(small_spec(paths, **{field: np.int64(2)}), field) == 2
 
 
 class TestRunBenchmark:

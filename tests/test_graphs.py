@@ -270,6 +270,13 @@ def normals(seed, ns, nt, d):
     return rng.normal(size=(ns, d)), rng.normal(size=(nt, d))
 
 
+def coincident_source():
+    """Twelve source points, five of them coincident, and nine target
+    points: the coincident nodes lose some of their sampled triangles."""
+    rng = np.random.default_rng(8)
+    return np.vstack([np.zeros((5, 2)), rng.normal(size=(7, 2))]), rng.normal(size=(9, 2))
+
+
 # (Xs, Xt, keyword arguments of reference_build_sparse_tensor and sampled_tensor)
 REFERENCE_CASES = {
     "lattice-ties": (
@@ -285,6 +292,11 @@ REFERENCE_CASES = {
     # check keeps covering a full-size sample
     "2-d": (*normals(3, 30, 60, 2), dict(t_per_node=50, knn=300, pool_factor=20, seed=7)),
     "800-d": (*normals(4, 12, 15, 800), dict(t_per_node=10, knn=30, pool_factor=5, seed=2)),
+    # nodes among the coincident points keep fewer triangles: at seed 1 one
+    # keeps none, at seed 4 one keeps a single triangle, which the build
+    # must score alone as the per-node reference does
+    "coincident-empty-node": (*coincident_source(), dict(t_per_node=7, knn=20, pool_factor=5, seed=1)),
+    "coincident-one-triangle": (*coincident_source(), dict(t_per_node=7, knn=20, pool_factor=5, seed=4)),
 }
 
 
@@ -304,6 +316,20 @@ class TestMatchesFullSortReference:
             assert np.array_equal(a, b)
         assert got.gamma == want.gamma
         assert (got.ns, got.nt) == (want.ns, want.nt)
+
+    @pytest.mark.parametrize(
+        "case, fewest", [("coincident-empty-node", 0), ("coincident-one-triangle", 1)]
+    )
+    def test_coincident_cases_lose_triangles(self, case, fewest):
+        # the fewest source triangles a node of the case keeps
+        Xs, _, kwargs = REFERENCE_CASES[case]
+        ns, count = len(Xs), kwargs["t_per_node"]
+        children = np.random.SeedSequence(kwargs["seed"]).spawn(ns + 1)
+        kept = [
+            len(_features_for(Xs, _sample_triples(np.random.default_rng(c), ns, count, anchor=i))[0])
+            for i, c in enumerate(children[:ns])
+        ]
+        assert min(kept) == fewest
 
     @pytest.mark.parametrize("k", [1, 2, 5, 9, 10])
     @pytest.mark.parametrize("seed", range(4))

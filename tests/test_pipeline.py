@@ -113,6 +113,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AdaptationConfig(lam2=-0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_outer", 1.5), ("n_outer", True), ("cg_iters", 2.5), ("admm_iters", 300.5),
+        ("seed", 1.5), ("seed", 1.0),
+    ])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            AdaptationConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["n_outer", "cg_iters", "admm_iters", "seed"])
+    def test_numpy_integers_accepted(self, field):
+        assert getattr(AdaptationConfig(**{field: np.int64(2)}), field) == 2
+
 
 class TestAdaptLoop:
     def test_self_adaptation_is_near_identity(self):
@@ -388,6 +400,13 @@ class TestAdaptLoop:
         Xt = np.vstack([np.ones((7, 2)), [[2.0, 0.0]]])
         with pytest.raises(ValueError, match="round 1: degenerate target domain: no valid triangles"):
             adapt(src, Xt, AdaptationConfig(eta=1.0, lam3=0.01, cg_iters=2))
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0])
+    def test_non_finite_target_names_the_target(self, eta):
+        src, Xt = blob_pair()
+        Xt[3, 1] = np.nan
+        with pytest.raises(ValueError, match="target features hold a non-finite value in row 3"):
+            adapt(src, Xt, AdaptationConfig(eta=eta))
 
     def test_feature_dimension_mismatch(self):
         src, _ = blob_pair()
