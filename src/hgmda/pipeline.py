@@ -191,13 +191,13 @@ def _outer_round(trial, cfg):
 
     def graph(X, labels, role):
         # a domain's exemplars, their bandwidth and their adjacency
-        with _timed(times, "exemplars"):
+        where = f"round {round_index}: {role} exemplars"
+        with _timed(times, "exemplars"), _failing_as(where):
             ex = select_exemplars(X, cfg.eta, labels=labels)
         note = ""
         if role == "source" and earlier is not None:
             note = (f"; round {round_index - 1}'s map contracted the source "
                     f"(source_spread {earlier.rounds[-1]['source_spread']:.3g})")
-        where = f"round {round_index}: {role} exemplars"
         with _timed(times, "graphs"), _failing_as(where, note):
             if ex.count < 3:
                 raise ValueError(f"need at least 3 exemplars per domain, got {ex.count}")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,13 @@ class TestAffinityPropagation:
         X = cluster_data()
         ex, _ = affinity_propagation(similarity_matrix(X, 0.0))
         assert len(ex) == len(X)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 4), (4,)])
+    def test_non_square_or_empty_similarity_rejected(self, shape):
+        message = ("similarity matrix needs to be square with at least one row, "
+                   f"got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            affinity_propagation(np.zeros(shape))
 
     def test_never_empty(self):
         # coincident points give an all-zero similarity landscape
@@ -260,3 +269,48 @@ class TestSelectExemplars:
         with pytest.raises(ValueError):
             select_exemplars(np.zeros((3, 1)), 1.5)
 
+    @staticmethod
+    def fields(got):
+        return (got.indices.tolist(), got.indices.dtype, got.features.tolist(),
+                None if got.labels is None else got.labels.tolist(),
+                got.converged, got.preference, got.ap_runs, got.ap_capped, got.target)
+
+    def test_window_keeps_the_fifty_iteration_selection(self, monkeypatch):
+        # protocol-grid's shapes: a 40-point labelled source, a 120-point
+        # target, eta 0.5; the shorter window only stops converged runs sooner
+        cases = []
+        for seed in range(4):
+            source = rotated_gaussian_task(n_per_class=20, seed=seed)[0]
+            target = rotated_gaussian_task(n_per_class=60, seed=seed)[1]
+            cases += [(source.features, source.labels), (target, None)]
+        got = [self.fields(select_exemplars(X, 0.5, labels=y)) for X, y in cases]
+        monkeypatch.setattr(exemplars, "STABLE_WINDOW", 50)
+        want = [self.fields(select_exemplars(X, 0.5, labels=y)) for X, y in cases]
+        assert got == want
+
+    @pytest.mark.parametrize("shape", [(0, 3), (5,)])
+    def test_features_without_rows_and_columns_rejected(self, shape):
+        message = ("features need 2 dimensions (rows, columns) and at least one row, "
+                   f"got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            select_exemplars(np.zeros(shape), 0.5)
+
+    def test_non_finite_row_rejected(self):
+        X = np.random.default_rng(0).normal(size=(10, 2))
+        X[3, 1] = np.nan
+        X[7, 0] = np.inf
+        with pytest.raises(ValueError,
+                           match=r"^exemplar candidate features hold a non-finite value in row 3$"):
+            select_exemplars(X, 0.5)
+
+    @pytest.mark.parametrize("count", [25, 3])
+    def test_label_count_mismatch_rejected(self, count):
+        X = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(ValueError,
+                           match=rf"^label count {count} does not match 10 feature rows$"):
+            select_exemplars(X, 0.5, labels=np.ones(count, dtype=int))
+
+    def test_labels_with_two_dimensions_rejected(self):
+        X = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(ValueError, match=r"^labels need 1 dimension, got shape \(10, 1\)$"):
+            select_exemplars(X, 0.5, labels=np.ones((10, 1), dtype=int))

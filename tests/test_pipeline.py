@@ -408,6 +408,13 @@ class TestAdaptLoop:
         with pytest.raises(ValueError, match="target features hold a non-finite value in row 3"):
             adapt(src, Xt, AdaptationConfig(eta=eta))
 
+    @pytest.mark.parametrize("eta", [0.5, 1.0])
+    def test_empty_target_names_the_target(self, eta):
+        src, _ = blob_pair()
+        with pytest.raises(ValueError, match=r"^round 1: target exemplars: features need 2 "
+                           r"dimensions \(rows, columns\) and at least one row, got shape \(0, 2\)$"):
+            adapt(src, np.zeros((0, 2)), AdaptationConfig(eta=eta))
+
     def test_feature_dimension_mismatch(self):
         src, _ = blob_pair()
         with pytest.raises(ValueError, match="dimensions differ"):
