@@ -119,6 +119,9 @@ def _cmd_adapt(args):
 def _cmd_evaluate(args):
     train = load_dataset(args.train_features, args.train_labels)
     test_X = load_features(args.test_features)
+    # a bad truth file fails before any prediction is written; it may lack
+    # classes the training labels have
+    truth = load_labels(args.test_labels, test_X.shape[0])[0] if args.test_labels else None
     predictions = knn_predict(train, test_X)
     lines = "\n".join(str(int(p)) for p in predictions) + "\n"
     if args.out:
@@ -126,8 +129,7 @@ def _cmd_evaluate(args):
             fh.write(lines)
     else:
         sys.stdout.write(lines)
-    if args.test_labels:
-        truth, _ = load_labels(args.test_labels, test_X.shape[0])
+    if truth is not None:
         print(f"accuracy {accuracy(predictions, truth):.6f}")
     return 0
 

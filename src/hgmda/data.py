@@ -1,9 +1,11 @@
 """Dataset types, CSV ingestion, and class-index bookkeeping.
 
 Feature files are headerless CSV, one sample per row. Label files hold one
-integer per line with class ids contiguous from 1. Both loaders skip a
-leading UTF-8 byte-order mark, as spreadsheet exports write, and report
-problems with the offending line number.
+positive integer per line; a dataset's labels (training or source) must
+also cover every class from 1 to the largest, which test or target labels
+need not. Both loaders skip a leading UTF-8 byte-order mark, as
+spreadsheet exports write, and report problems with the offending line
+number.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ def write_features(path, X):
 
 
 def load_labels(path, num_rows):
-    """Parse one integer label per line; labels must cover 1..C densely.
+    """Parse one positive integer label per line, num_rows of them.
 
-    Returns (labels, num_classes).
+    Returns (labels, num_classes), num_classes being the largest label.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
@@ -84,12 +86,7 @@ def load_labels(path, num_rows):
             f"{path}: count mismatch, expected {num_rows} labels, got {len(labels)}"
         )
     labels = np.asarray(labels, dtype=int)
-    num_classes = int(labels.max())
-    present = set(labels.tolist())
-    for c in range(1, num_classes + 1):
-        if c not in present:
-            raise ValueError(f"{path}: class {c} absent")
-    return labels, num_classes
+    return labels, int(labels.max())
 
 
 @dataclass(frozen=True)
@@ -140,9 +137,14 @@ class LabeledDataset:
 
 
 def load_dataset(features_path, labels_path):
+    """A LabeledDataset from a feature file and a label file; a class absent
+    from the labels is reported with the label file's path."""
     X = load_features(features_path)
     y, num_classes = load_labels(labels_path, X.shape[0])
-    return LabeledDataset(features=X, labels=y, num_classes=num_classes)
+    try:
+        return LabeledDataset(features=X, labels=y, num_classes=num_classes)
+    except ValueError as exc:
+        raise ValueError(f"{labels_path}: {exc}") from None
 
 
 def class_index_sets(labels, num_classes):

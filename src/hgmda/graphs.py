@@ -37,7 +37,10 @@ triangles, in blocks of FEATURE_BLOCK gathered floats, and each source
 node's run of at most T_PER_NODE triangles is scored against the pool at
 once. Merged runs would hold larger distance matrices, and would change the
 last bits of a node that keeps one triangle: numpy scores a single row as a
-matrix-vector product, which rounds differently.
+matrix-vector product, which rounds differently. Each source triangle keeps
+its KNN nearest pool triangles (ties at the KNN-th distance going to the
+earlier-sampled one) as a set, never ordered by distance: the dedup sorts
+the candidates by key anyway.
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ class SparseTensor3:
     it carries the value exp(-gamma * ||f_source - f_target||^2) in (0, 1].
     The full symmetric tensor holds the same value at all 6 permutations of
     (p1, p2, p3), which the stored entries stand for. A pair index outside
-    [0, ns * nt) is rejected here, so the contraction need not check them.
+    [0, ns * nt), or an entry whose pair indices are not strictly ascending
+    (the contraction counts every entry 6 times), is rejected here.
     """
 
     p1: np.ndarray
@@ -131,6 +135,10 @@ class SparseTensor3:
             p = getattr(self, name)
             if len(p) and (p.min() < 0 or p.max() >= n):
                 raise ValueError(f"{name} holds a pair index outside [0, ns * nt)")
+        if len({len(a) for a in (self.p1, self.p2, self.p3, self.values)}) > 1:
+            raise ValueError("p1, p2, p3 and values differ in length")
+        if not ((self.p1 < self.p2) & (self.p2 < self.p3)).all():
+            raise ValueError("an entry's pair indices are not ordered p1 < p2 < p3")
 
     @property
     def m(self):
@@ -201,17 +209,12 @@ def _features_for(X, triples):
 
 
 def _nearest_columns(d2, k):
-    """Columns of the k smallest entries of each row of d2, nearest first,
-    ties to the lower column: the first k columns of a stable argsort; and
+    """Columns of the k smallest entries of each row of d2, as a set in
+    ascending column order, ties at the k-th value to the lower column; and
     those entries, in the same order.
 
     Partitioning at the k-th smallest value finds the kept set without
-    sorting whole rows. Only the k kept entries are then sorted, by the
-    faster unstable sort. In the rows where two of them tie, the sorted
-    positions are sorted again on run * k + position, run numbering the
-    runs of equal sorted distances: that puts each run's positions in
-    ascending order, as a stable sort does, with one sort of distinct keys.
-    Needs 1 <= k <= the number of columns.
+    sorting whole rows. Needs 1 <= k <= the number of columns.
     """
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
     take = d2 <= kth
@@ -226,19 +229,7 @@ def _nearest_columns(d2, k):
     # positions less its offset
     cols = np.flatnonzero(take).reshape(len(d2), k)
     cols -= np.arange(0, d2.size, d2.shape[1])[:, None]
-    near = np.take_along_axis(d2, cols, axis=1)
-    order = np.argsort(near, axis=1)
-    dists = np.take_along_axis(near, order, axis=1)
-    steps = dists[:, 1:] != dists[:, :-1]
-    tied = np.flatnonzero(~steps.all(axis=1))
-    if len(tied):
-        keys = np.zeros((len(tied), k), dtype=np.int64)
-        np.cumsum(steps[tied], axis=1, out=keys[:, 1:])
-        keys *= k
-        keys += order[tied]
-        keys.sort(axis=1)
-        order[tied] = keys % k
-    return np.take_along_axis(cols, order, axis=1), dists
+    return cols, np.take_along_axis(d2, cols, axis=1)
 
 
 def build_sparse_tensor(Xs, Xt, seed=0):
@@ -282,7 +273,7 @@ def build_sparse_tensor(Xs, Xt, seed=0):
     bounds = np.flatnonzero(np.diff(source[:, 0])) + 1  # where the node changes
     for start, stop in zip([0, *bounds], [*bounds, len(source)]):
         tri = source[start:stop]
-        # nearest pool triangles first, ties to the one sampled earlier
+        # each triangle's k nearest pool triangles, as a set
         cols, near = _nearest_columns(pairwise_sq_dists(source_feats[start:stop], pool_feats), k)
         block = slice(k * start, k * stop)
         cand_d2[block] = near.ravel()
@@ -293,9 +284,6 @@ def build_sparse_tensor(Xs, Xt, seed=0):
         b, c = np.minimum(b, c), np.maximum(b, c)
         a, b = np.minimum(a, b), np.maximum(a, b)
         keys[block] = ((a * N + b) * N + c).ravel()
-
-    mean_sq = float(cand_d2.mean())
-    gamma = 1.0 if mean_sq == 0.0 else 1.0 / mean_sq
 
     # one entry per unordered triangle pair, sorted by key. The first
     # sampled copy wins (re-sampled pairs can differ in the last float
@@ -310,7 +298,14 @@ def build_sparse_tensor(Xs, Xt, seed=0):
     unique_keys = keys[first]
     del keys, first
     values = cand_d2[keep]
+    # two candidates of one source triangle share a key only when the pool
+    # drew that triangle twice, at an equal distance, so the kept set's order
+    # changes no value. gamma's mean adds each triangle's distances nearest
+    # first, as a full stable sort orders them
+    cand_d2.reshape(-1, k).sort(axis=1)
+    mean_sq = float(cand_d2.mean())
     del cand_d2, keep
+    gamma = 1.0 if mean_sq == 0.0 else 1.0 / mean_sq
     values *= -gamma
     p12, p3 = np.divmod(unique_keys, N, out=(unique_keys, None))
     p1, p2 = np.divmod(p12, N, out=(None, p12))

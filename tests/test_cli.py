@@ -217,6 +217,38 @@ class TestEvaluateCommand:
         assert "error: training and test feature dimensions differ" in err
         assert "training shape (20, 2), test shape (4, 3)" in err
 
+    def test_truth_that_lacks_a_class(self, tmp_path, capsys):
+        # training labels 1/2/3, a test split holding classes 1 and 3 only
+        write_features(tmp_path / "tr_X.csv", np.array([[0.0], [5.0], [10.0]]))
+        (tmp_path / "tr_y.csv").write_text("1\n2\n3\n")
+        write_features(tmp_path / "te_X.csv", np.array([[0.5], [9.0]]))
+        (tmp_path / "te_y.csv").write_text("1\n3\n")
+        code = main([
+            "evaluate",
+            "--train-features", str(tmp_path / "tr_X.csv"),
+            "--train-labels", str(tmp_path / "tr_y.csv"),
+            "--test-features", str(tmp_path / "te_X.csv"),
+            "--test-labels", str(tmp_path / "te_y.csv"),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == "1\n3\naccuracy 1.000000\n"
+
+    def test_bad_truth_fails_before_predictions(self, task_files, tmp_path, capsys):
+        out = tmp_path / "preds.csv"
+        short = tmp_path / "short_y.csv"
+        short.write_text("1\n2\n")
+        code = main([
+            "evaluate",
+            "--train-features", task_files["source_features"],
+            "--train-labels", task_files["source_labels"],
+            "--test-features", task_files["target_features"],
+            "--test-labels", str(short),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "count mismatch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_predictions_to_stdout(self, task_files, capsys):
         code = main([
             "evaluate",

@@ -70,9 +70,11 @@ class TestLoadLabels:
         assert np.array_equal(labels, [1, 2, 1])
         assert C == 2
 
-    def test_absent_class(self, tmp_path):
-        with pytest.raises(ValueError, match="class 2 absent"):
-            load_labels(write(tmp_path, "l.csv", "1\n3"), 2)
+    def test_skipped_class_accepted(self, tmp_path):
+        # test or target labels need not cover every class
+        labels, C = load_labels(write(tmp_path, "l.csv", "1\n3"), 2)
+        assert np.array_equal(labels, [1, 3])
+        assert C == 3
 
     def test_count_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="count mismatch"):
@@ -165,6 +167,12 @@ class TestLabeledDataset:
         l = write(tmp_path, "l.csv", "2\n1\n2")
         ds = load_dataset(f, l)
         assert ds.features.shape == (3, 2) and ds.d == 2 and ds.num_classes == 2
+
+    def test_load_dataset_absent_class(self, tmp_path):
+        f = write(tmp_path, "f.csv", "0,1\n2,3")
+        l = write(tmp_path, "l.csv", "1\n3")
+        with pytest.raises(ValueError, match=r"l\.csv: class 2 absent$"):
+            load_dataset(f, l)
 
 
 def test_pairwise_sq_dists_matches_direct():

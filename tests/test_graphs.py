@@ -291,6 +291,11 @@ REFERENCE_CASES = {
     # five times the package's source triangles per node: the bit-identity
     # check keeps covering a full-size sample
     "2-d": (*normals(3, 30, 60, 2), dict(t_per_node=50, knn=300, pool_factor=20, seed=7)),
+    # the tensor-hg benchmark shape at the package's own sample sizes
+    "tensor-hg": (
+        *normals(6, 40, 80, 2),
+        dict(t_per_node=T_PER_NODE, knn=KNN, pool_factor=POOL_FACTOR, seed=1),
+    ),
     "800-d": (*normals(4, 12, 15, 800), dict(t_per_node=10, knn=30, pool_factor=5, seed=2)),
     # nodes among the coincident points keep fewer triangles: at seed 1 one
     # keeps none, at seed 4 one keeps a single triangle, which the build
@@ -334,12 +339,13 @@ class TestMatchesFullSortReference:
     @pytest.mark.parametrize("k", [1, 2, 5, 9, 10])
     @pytest.mark.parametrize("seed", range(4))
     def test_nearest_columns_are_a_stable_argsort_prefix(self, k, seed):
-        # values from {0, 1, 2}: every row ties at its k-th value
+        # values from {0, 1, 2}: every row ties at its k-th value. The kept
+        # columns are the stable argsort's first k, as a set in column order
         d2 = np.random.default_rng(seed).integers(0, 3, size=(30, 10)).astype(float)
-        want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        want = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
         cols, dists = _nearest_columns(d2, k)
         assert np.array_equal(cols, want)
-        assert np.array_equal(dists, np.take_along_axis(d2, want, axis=1))
+        assert np.array_equal(dists, np.take_along_axis(d2, cols, axis=1))
 
     @pytest.mark.parametrize("seed", range(2))
     def test_nearest_columns_at_the_build_width(self, seed):
@@ -349,19 +355,19 @@ class TestMatchesFullSortReference:
         rng = np.random.default_rng(seed)
         d2 = rng.random((40, 1200))
         d2 = np.hstack([d2, d2[:, rng.integers(0, 1200, size=400)]])[:, rng.permutation(1600)]
-        want = np.argsort(d2, axis=1, kind="stable")[:, :300]
+        want = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :300], axis=1)
         cols, dists = _nearest_columns(d2, 300)
         assert np.array_equal(cols, want)
-        assert np.array_equal(dists, np.take_along_axis(d2, want, axis=1))
+        assert np.array_equal(dists, np.take_along_axis(d2, cols, axis=1))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nearest_columns_without_ties(self, seed):
-        # distinct values: no row takes the stable re-sort
+        # distinct values: no row ties at its k-th value
         d2 = np.random.default_rng(seed).permutation(400).reshape(20, 20) / 7.0
-        want = np.argsort(d2, axis=1, kind="stable")[:, :8]
+        want = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :8], axis=1)
         cols, dists = _nearest_columns(d2, 8)
         assert np.array_equal(cols, want)
-        assert np.array_equal(dists, np.take_along_axis(d2, want, axis=1))
+        assert np.array_equal(dists, np.take_along_axis(d2, cols, axis=1))
 
 
 class TestSampleTriples:

@@ -270,6 +270,22 @@ class TestTensorIndexRange:
         empty = np.array([], dtype=np.int64)
         assert SparseTensor3(empty, empty, empty, np.ones(0), 1.0, 3, 4).m == 0
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            SparseTensor3(
+                p1=np.array([0, 2]), p2=np.array([1, 5]), p3=np.array([4, 11]),
+                values=np.ones(1), gamma=1.0, ns=3, nt=4,
+            )
+
+    @pytest.mark.parametrize("slots", [(0, 0, 3), (0, 3, 3), (3, 1, 2), (0, 2, 1)])
+    def test_entry_not_strictly_ascending_rejected(self, slots):
+        # f3 counts an entry 6 times, right only for three distinct pair
+        # indices: p1 = p2 = 0, p3 = 3 with value 1 on a 2 x 2 problem at
+        # uniform C would give 0.75, where the dense tensor gives 0.375
+        p1, p2, p3 = (np.array([s]) for s in slots)
+        with pytest.raises(ValueError, match="p1 < p2 < p3"):
+            SparseTensor3(p1=p1, p2=p2, p3=p3, values=np.ones(1), gamma=1.0, ns=2, nt=2)
+
 
 class TestFg:
     def test_identity_unit_groups(self):
