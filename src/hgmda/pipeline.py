@@ -247,6 +247,8 @@ def _outer_round(trial, cfg):
         "target_ap_runs": tgt_ex.ap_runs,
         "source_ap_capped": src_ex.ap_capped,
         "target_ap_capped": tgt_ex.ap_capped,
+        "source_ap_cycled": src_ex.ap_cycled,
+        "target_ap_cycled": tgt_ex.ap_cycled,
         "source_preference": src_ex.preference,
         "target_preference": tgt_ex.preference,
         "source_ap_target": src_ex.target,

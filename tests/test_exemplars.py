@@ -52,20 +52,20 @@ class TestSimilarityMatrix:
 
 class TestAffinityPropagation:
     def test_single_point(self):
-        ex, converged = affinity_propagation(np.array([[-3.0]]))
+        ex, converged, _ = affinity_propagation(np.array([[-3.0]]))
         assert ex.tolist() == [0]
         assert converged
 
     def test_three_clusters_find_medoids(self):
         X = cluster_data()
         S = similarity_matrix(X, float(np.median(-pairwise_sq_dists(X))))
-        ex, converged = affinity_propagation(S)
+        ex, converged, _ = affinity_propagation(S)
         assert converged
         assert set(ex.tolist()) == CLUSTER_MEDOIDS
 
     def test_high_preference_all_exemplars(self):
         X = cluster_data()
-        ex, _ = affinity_propagation(similarity_matrix(X, 0.0))
+        ex, _, _ = affinity_propagation(similarity_matrix(X, 0.0))
         assert len(ex) == len(X)
 
     @pytest.mark.parametrize("shape", [(0, 0), (3, 4), (4,)])
@@ -78,14 +78,14 @@ class TestAffinityPropagation:
     def test_never_empty(self):
         # coincident points give an all-zero similarity landscape
         S = np.zeros((4, 4))
-        ex, _ = affinity_propagation(S)
+        ex, _, _ = affinity_propagation(S)
         assert len(ex) >= 1
 
     def test_determinism(self):
         X = np.random.default_rng(5).normal(size=(25, 3))
         S = similarity_matrix(X, -4.0)
-        a, _ = affinity_propagation(S)
-        b, _ = affinity_propagation(S)
+        a, _, _ = affinity_propagation(S)
+        b, _, _ = affinity_propagation(S)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -94,17 +94,16 @@ class TestAffinityPropagation:
         p_lo = 2.0 * (-pairwise_sq_dists(X)).min()
         counts = []
         for p in np.linspace(p_lo, 0.0, 5):
-            ex, converged = affinity_propagation(similarity_matrix(X, p))
+            ex, converged, _ = affinity_propagation(similarity_matrix(X, p))
             if converged:
                 counts.append(len(ex))
         assert counts == sorted(counts)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_matches_fresh_message_reference(self, seed):
-        # the in-place message updates give the earlier loop's exemplars
-        # and convergence exactly, on data with and without tied distances
-        # and at preferences across the bisection bracket
+    @staticmethod
+    def random_case(seed):
+        # up to 130 points in 1 to 4 dimensions, with tied distances in
+        # about a third of the draws, at a preference across the bisection
+        # bracket
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(1, 131)), int(rng.integers(1, 5))
         X = rng.normal(size=(n, d))
@@ -112,8 +111,17 @@ class TestAffinityPropagation:
             X = np.round(X, 1)
         S = similarity_matrix(X, 0.0)
         np.fill_diagonal(S, rng.uniform(0.0, 2.0) * S.min())
+        return S
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_fresh_message_reference(self, seed):
+        # the in-place message updates give the earlier loop's exemplars
+        # and convergence exactly, on data with and without tied distances
+        # and at preferences across the bisection bracket
+        S = self.random_case(seed)
         S_before = S.copy()
-        ex, converged = affinity_propagation(S)
+        ex, converged, _ = affinity_propagation(S)
         ref_ex, ref_converged = reference_affinity_propagation(S)
         assert np.array_equal(ex, ref_ex) and ex.dtype == ref_ex.dtype
         assert converged == ref_converged
@@ -122,10 +130,23 @@ class TestAffinityPropagation:
     @staticmethod
     def no_convergence_case():
         # a preference the bisection tries on the 120-point rotated target:
-        # the exemplar set is still changing at MAX_ITERS
+        # from about iteration 60 the exemplar set alternates between two
+        # sets. At iteration 100 the masks have repeated that period-2 cycle
+        # STABLE_WINDOW times, at 102 the messages repeat it too, and the
+        # run stops there with the set the reference shows at MAX_ITERS
         _, X, _ = rotated_gaussian_task(n_per_class=60, seed=4)
         S = similarity_matrix(X, 0.0)
         np.fill_diagonal(S, 3.0 / 8192.0 * S.min())
+        return S
+
+    @staticmethod
+    def capped_case():
+        # a preference the bisection tries on another 120-point rotated
+        # target: the exemplar set keeps changing without repeating a
+        # cycle, so the run stops at MAX_ITERS
+        _, X, _ = rotated_gaussian_task(n_per_class=60, seed=9)
+        S = similarity_matrix(X, 0.0)
+        np.fill_diagonal(S, S.min() / 512.0)
         return S
 
     @staticmethod
@@ -136,35 +157,56 @@ class TestAffinityPropagation:
     @staticmethod
     def tied_rows_case():
         # each point three times: every row's largest a + s ties between
-        # the point's other two copies, ties that argmax settles
+        # the point's other two copies, ties that argmax settles. It also
+        # pins that a short cycle does not stop a run: the exemplar set
+        # repeats a period-6 cycle for about 44 iterations, which is fewer
+        # than STABLE_WINDOW repeats, and the run converges at iteration 149
         X = np.repeat(np.random.default_rng(8).normal(size=(20, 2)), 3, axis=0)
         S = similarity_matrix(X, 0.0)
         np.fill_diagonal(S, 0.5 * S.min())
         assert np.all((S == S.max(axis=1, keepdims=True)).sum(axis=1) == 2)
         return S
 
-    @pytest.mark.parametrize("case, converges, count", [
-        ("no_convergence_case", False, None),
-        ("zero_preference_case", True, 50),
-        ("tied_rows_case", True, None),
+    @classmethod
+    def drifting_cycle_case(cls):
+        # 75 points on a line: from about iteration 50 the masks repeat a
+        # period-2 cycle, STABLE_WINDOW times by iteration 100, while the
+        # messages drift; the cycle breaks near iteration 285 and the run
+        # converges at 307, so a cycle in the masks alone does not stop a run
+        return cls.random_case(1427)
+
+    @pytest.mark.parametrize("case, converges, cycles, count", [
+        ("no_convergence_case", False, True, None),
+        ("capped_case", False, False, None),
+        ("drifting_cycle_case", True, False, None),
+        ("zero_preference_case", True, False, 50),
+        ("tied_rows_case", True, False, None),
     ])
-    def test_matches_fresh_message_reference_on_fixed_cases(self, case, converges, count):
+    def test_matches_fresh_message_reference_on_fixed_cases(self, case, converges, cycles,
+                                                             count):
         S = getattr(self, case)()
-        ex, converged = affinity_propagation(S)
+        ex, converged, cycled = affinity_propagation(S)
         ref_ex, ref_converged = reference_affinity_propagation(S)
         assert np.array_equal(ex, ref_ex) and ex.dtype == ref_ex.dtype
         assert converged == ref_converged == converges
+        assert cycled == cycles
         assert count is None or len(ex) == count
 
-    @pytest.mark.parametrize("n, eta", [(40, 0.5), (120, 0.5), (30, 0.1)])
+    # at (32, 0.5) the chosen run stops on a cycle
+    @pytest.mark.parametrize("n, eta", [(40, 0.5), (120, 0.5), (30, 0.1), (32, 0.5)])
     def test_selection_matches_fresh_message_reference(self, monkeypatch, n, eta):
         X = np.random.default_rng(n).normal(size=(n, 10))
         got = select_exemplars(X, eta)
-        monkeypatch.setattr(exemplars, "affinity_propagation", reference_affinity_propagation)
+        # the reference runs every unconverged run to the cap
+        monkeypatch.setattr(exemplars, "affinity_propagation",
+                            lambda S: (*reference_affinity_propagation(S), False))
         want = select_exemplars(X, eta)
         assert np.array_equal(got.indices, want.indices)
         assert (got.converged, got.preference, got.ap_runs) == (
             want.converged, want.preference, want.ap_runs)
+        assert (got.ap_capped + got.ap_cycled, want.ap_cycled) == (want.ap_capped, 0)
+        if (n, eta) == (32, 0.5):
+            assert (got.converged, got.ap_capped, got.ap_cycled) == (False, 0, 1)
 
 
 class TestSelectExemplars:
@@ -202,7 +244,7 @@ class TestSelectExemplars:
         got = select_exemplars(X, 0.3)
         # two bracket runs, then bisection steps up to the budget
         assert 1 <= got.ap_runs <= 2 + BISECT_STEPS
-        ex, converged = affinity_propagation(similarity_matrix(X, got.preference))
+        ex, converged, _ = affinity_propagation(similarity_matrix(X, got.preference))
         assert np.array_equal(np.sort(ex), got.indices)
         assert converged == got.converged
 
@@ -244,23 +286,26 @@ class TestSelectExemplars:
 
     def test_counts_the_runs_stopped_at_the_cap(self, monkeypatch):
         # each run is one affinity_propagation call, and a run that returns
-        # unconverged ran MAX_ITERS iterations; here 1 of 8 does
+        # unconverged stopped on a cycle or ran MAX_ITERS iterations; here
+        # 1 of 8 is unconverged, and it stops on a cycle
         runs = []
 
         def recorded(S):
-            ex, converged = affinity_propagation(S)
-            runs.append(converged)
-            return ex, converged
+            ex, converged, cycled = affinity_propagation(S)
+            runs.append((converged, cycled))
+            return ex, converged, cycled
 
         monkeypatch.setattr(exemplars, "affinity_propagation", recorded)
         got = select_exemplars(np.random.default_rng(40).normal(size=(40, 10)), 0.5)
-        assert (got.ap_runs, got.ap_capped) == (len(runs), runs.count(False)) == (8, 1)
+        assert (got.ap_runs, got.ap_capped, got.ap_cycled) == (
+            len(runs), runs.count((False, False)), runs.count((False, True))) == (8, 0, 1)
 
     def test_every_run_is_capped_below_the_stable_window(self, monkeypatch):
         monkeypatch.setattr(exemplars, "MAX_ITERS", STABLE_WINDOW - 1)
         got = select_exemplars(np.random.default_rng(1).normal(size=(30, 4)), 0.3)
         assert got.ap_runs >= 1
         assert got.ap_capped == got.ap_runs
+        assert got.ap_cycled == 0
         assert not got.converged
 
     def test_eta_out_of_range(self):
@@ -273,11 +318,14 @@ class TestSelectExemplars:
     def fields(got):
         return (got.indices.tolist(), got.indices.dtype, got.features.tolist(),
                 None if got.labels is None else got.labels.tolist(),
-                got.converged, got.preference, got.ap_runs, got.ap_capped, got.target)
+                got.converged, got.preference, got.ap_runs, got.ap_capped + got.ap_cycled,
+                got.target)
 
     def test_window_keeps_the_fifty_iteration_selection(self, monkeypatch):
         # protocol-grid's shapes: a 40-point labelled source, a 120-point
-        # target, eta 0.5; the shorter window only stops converged runs sooner
+        # target, eta 0.5; the shorter window only stops converged runs
+        # sooner. A cycle needs STABLE_WINDOW repeats, so at 50 fewer
+        # unconverged runs stop on one; their sum with the capped ones holds
         cases = []
         for seed in range(4):
             source = rotated_gaussian_task(n_per_class=20, seed=seed)[0]

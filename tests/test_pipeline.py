@@ -190,8 +190,18 @@ class TestAdaptLoop:
         (r,) = adapt(src, Xt, AdaptationConfig(eta=0.5, cg_iters=2)).rounds
         for side in ("source", "target"):
             assert r[f"{side}_ap_capped"] == r[f"{side}_ap_runs"] >= 1
+            assert r[f"{side}_ap_cycled"] == 0
         (r,) = adapt(src, Xt, AdaptationConfig(eta=1.0, cg_iters=2)).rounds
         assert r["source_ap_capped"] == r["target_ap_capped"] == 0
+        assert r["source_ap_cycled"] == r["target_ap_cycled"] == 0
+
+    def test_records_how_the_unconverged_ap_runs_stopped(self):
+        # on this task the source's bisection stops 4 AP runs on a cycle of
+        # exemplar sets and the target's stops 1 at the cap
+        src, Xt, _ = rotated_gaussian_task(n_per_class=20, seed=0)
+        (r,) = adapt(src, Xt, AdaptationConfig(eta=0.5, cg_iters=2)).rounds
+        assert (r["source_ap_cycled"], r["source_ap_capped"]) == (4, 0)
+        assert (r["target_ap_cycled"], r["target_ap_capped"]) == (0, 1)
 
     def test_stage_times_without_tensor_or_ap(self):
         src, Xt = blob_pair()
@@ -312,7 +322,8 @@ class TestAdaptLoop:
             eta=0.5, lam2=0.01, lam3=0.01, lam_g=0.01, n_outer=2, cg_iters=5, seed=3,
         )
         got = adapt(src, Xt, cfg)
-        monkeypatch.setattr(exemplars, "affinity_propagation", reference_affinity_propagation)
+        monkeypatch.setattr(exemplars, "affinity_propagation",
+                            lambda S: (*reference_affinity_propagation(S), False))
         monkeypatch.setattr(
             solver, "_sinkhorn_lmo", lambda *args: (*reference_sinkhorn_lmo(*args), 0)
         )
