@@ -157,7 +157,13 @@ def class_index_sets(labels, num_classes):
 
 
 def pairwise_sq_dists(X, Y=None):
-    """Squared Euclidean distances between rows of X and rows of Y (or X)."""
+    """Squared Euclidean distances between rows of X and rows of Y (or X).
+
+    A row's last bits depend on the other rows of the call: numpy runs a
+    one-row X @ Y.T as a matrix-vector product, which rounds differently.
+    That is why the triangle tensor build sums its 3-feature distances
+    directly instead.
+    """
     X = np.asarray(X, dtype=float)
     Y = X if Y is None else np.asarray(Y, dtype=float)
     x2 = (X**2).sum(axis=1)

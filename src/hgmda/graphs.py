@@ -33,11 +33,10 @@ Each generator (one per source node, one for the pool) draws all of its
 triangles in one call, and they are the triangles that one rng.choice call
 per triangle gave, so the tensor does not depend on how they are drawn.
 Their features are then computed in one vectorised pass over all sampled
-triangles, in blocks of FEATURE_BLOCK gathered floats, and each source
-node's run of at most T_PER_NODE triangles is scored against the pool at
-once. Merged runs would hold larger distance matrices, and would change the
-last bits of a node that keeps one triangle: numpy scores a single row as a
-matrix-vector product, which rounds differently. Each source triangle keeps
+triangles, in blocks of FEATURE_BLOCK gathered floats, and the source
+triangles are scored against the pool T_PER_NODE at a time. A squared
+feature distance is summed feature by feature, so the tensor does not
+depend on how the source triangles are blocked. Each source triangle keeps
 its KNN nearest pool triangles (ties at the KNN-th distance going to the
 earlier-sampled one) as a set, never ordered by distance: the dedup sorts
 the candidates by key anyway.
@@ -240,7 +239,7 @@ def build_sparse_tensor(Xs, Xt, seed=0):
     from a shared pool of POOL_FACTOR * n_t random target triangles. gamma
     comes from the mean squared feature distance over all candidate pairs.
     The RNG is split per source node, so results do not depend on evaluation
-    order. Each node's triangles are scored against the pool in one block.
+    order.
     """
     Xs = np.asarray(Xs, dtype=float)
     Xt = np.asarray(Xt, dtype=float)
@@ -266,16 +265,18 @@ def build_sparse_tensor(Xs, Xt, seed=0):
     k = min(KNN, len(pool))
 
     # each candidate is kept only as its distance and the int64 key of its
-    # ascending pair indices, in its node's slice of the candidate arrays
+    # ascending pair indices, in its triangle's slice of the candidate arrays
     cand_d2 = np.empty(k * len(source))
     keys = np.empty(k * len(source), dtype=np.int64)
     pool_cols = pool.T.copy()
-    bounds = np.flatnonzero(np.diff(source[:, 0])) + 1  # where the node changes
-    for start, stop in zip([0, *bounds], [*bounds, len(source)]):
-        tri = source[start:stop]
+    pool_feat_cols = pool_feats.T.copy()
+    for start in range(0, len(source), T_PER_NODE):
+        tri = source[start : start + T_PER_NODE]
+        feats = source_feats[start : start + T_PER_NODE]
+        d2 = sum((f[:, None] - p) ** 2 for f, p in zip(feats.T, pool_feat_cols))
         # each triangle's k nearest pool triangles, as a set
-        cols, near = _nearest_columns(pairwise_sq_dists(source_feats[start:stop], pool_feats), k)
-        block = slice(k * start, k * stop)
+        cols, near = _nearest_columns(d2, k)
+        block = slice(k * start, k * (start + len(tri)))
         cand_d2[block] = near.ravel()
         # cols is in range: mode="wrap" skips the bounds check
         a, b, c = (pool_cols[s].take(cols, mode="wrap") + tri[:, s, None] * nt for s in range(3))
@@ -284,6 +285,7 @@ def build_sparse_tensor(Xs, Xt, seed=0):
         b, c = np.minimum(b, c), np.maximum(b, c)
         a, b = np.minimum(a, b), np.maximum(a, b)
         keys[block] = ((a * N + b) * N + c).ravel()
+    del d2, pool_feat_cols
 
     # one entry per unordered triangle pair, sorted by key. The first
     # sampled copy wins (re-sampled pairs can differ in the last float
@@ -298,11 +300,6 @@ def build_sparse_tensor(Xs, Xt, seed=0):
     unique_keys = keys[first]
     del keys, first
     values = cand_d2[keep]
-    # two candidates of one source triangle share a key only when the pool
-    # drew that triangle twice, at an equal distance, so the kept set's order
-    # changes no value. gamma's mean adds each triangle's distances nearest
-    # first, as a full stable sort orders them
-    cand_d2.reshape(-1, k).sort(axis=1)
     mean_sq = float(cand_d2.mean())
     del cand_d2, keep
     gamma = 1.0 if mean_sq == 0.0 else 1.0 / mean_sq

@@ -5,14 +5,15 @@ brute force over speed: exhaustive enumeration, dense tensors, generic
 projection methods. Tests compare package output against these. There are
 exceptions. reference_admm_lp takes the package's working gradient
 magnitude and stopping constants so that the two can be compared sweep for
-sweep. reference_build_sparse_tensor, the package's earlier full-sort
-tensor build, shares its triangle features and tensor container so that
-the two can be compared bit for bit. The package's earlier triangle
-sampling, one rng.choice call per triangle (reference_sample_triples),
-per-triangle features (reference_triangle_feature,
-reference_features_for) and three-bincount f3 contraction
-(reference_f3_and_grad) are kept verbatim as references for the
-vectorised forms that replaced them. So are the Sinkhorn oracle's earlier
+sweep. reference_build_sparse_tensor, an unblocked build that scores every
+source triangle in one distance matrix and keeps each one's nearest pool
+triangles by a full sort, shares the package's triangle features and
+tensor container so that the two can be compared bit for bit. The
+package's earlier triangle sampling, one rng.choice call per triangle
+(reference_sample_triples), per-triangle features
+(reference_triangle_feature, reference_features_for) and three-bincount
+f3 contraction (reference_f3_and_grad) are kept verbatim as references
+for the vectorised forms that replaced them. So are the Sinkhorn oracle's earlier
 loop, which range-tested the scalings at every iteration
 (reference_sinkhorn_lmo, built from the package's kernel, rounding and
 bound helpers and its oracle constants), and the earlier affinity
@@ -28,7 +29,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hgmda.data import pairwise_sq_dists
 from hgmda.exemplars import DAMPING, MAX_ITERS, STABLE_WINDOW
 from hgmda.graphs import SparseTensor3, _features_for
 from hgmda.solver import (
@@ -314,17 +314,17 @@ def reference_sample_triples(rng, n, count, anchor=None):
 
 
 def reference_build_sparse_tensor(Xs, Xt, *, t_per_node, knn, pool_factor, seed=0):
-    """build_sparse_tensor exactly as the package ran it before it chose
-    each source triangle's nearest target triangles by partial selection:
-    a full stable argsort of every distance row, and the candidate pair
-    indices kept as an (m, 3) array. The package's build must return the
-    same entries, values and gamma bit for bit. It samples the triangles
-    with reference_sample_triples and computes their features with the
-    package's own _features_for, so the bit-for-bit comparison checks the
-    sampling, the nearest-triangle selection and the dedup; the features
-    themselves are checked against reference_features_for. The three
-    sample sizes have no defaults: the package's constants in hgmda.graphs
-    are their only owner.
+    """build_sparse_tensor without its blocks and its partial selection:
+    every source triangle is scored in one distance matrix, each row is
+    ordered by a full stable argsort, and the candidate pair indices are
+    kept as an (m, 3) array. The package's build must return the same
+    entries, values and gamma bit for bit, however it blocks the source
+    triangles. It samples the triangles with reference_sample_triples and
+    computes their features with the package's own _features_for, so the
+    bit-for-bit comparison checks the sampling, the nearest-triangle
+    selection and the dedup; the features themselves are checked against
+    reference_features_for. The three sample sizes have no defaults: the
+    package's constants in hgmda.graphs are their only owner.
 
     Sample triangle correspondences and store their similarity values.
 
@@ -338,10 +338,10 @@ def reference_build_sparse_tensor(Xs, Xt, *, t_per_node, knn, pool_factor, seed=
     ns, nt = len(Xs), len(Xt)
     children = np.random.SeedSequence(seed).spawn(ns + 1)
     pool = reference_sample_triples(np.random.default_rng(children[ns]), nt, pool_factor * nt)
-    source = [
+    source = np.concatenate([
         reference_sample_triples(np.random.default_rng(children[i]), ns, t_per_node, anchor=i)
         for i in range(ns)
-    ]
+    ])
     return _reference_tensor(Xs, Xt, pool, source, knn)
 
 
@@ -350,12 +350,12 @@ def reference_exhaustive_tensor(Xs, Xt):
     triangle and every target vertex ordering, all of them kept (only
     sensible for tiny inputs)."""
     pool = np.array(list(permutations(range(len(Xt)), 3)), dtype=int)
-    source = [np.array(list(combinations(range(len(Xs)), 3)), dtype=int)]
+    source = np.array(list(combinations(range(len(Xs)), 3)), dtype=int)
     return _reference_tensor(Xs, Xt, pool, source, len(pool))
 
 
 def _reference_tensor(Xs, Xt, pool, source, knn):
-    """The tensor of the given target pool and source triangle chunks, each
+    """The tensor of the given target pool and source triangles, each
     source triangle matched to its knn nearest pool triangles."""
     Xs = np.asarray(Xs, dtype=float)
     Xt = np.asarray(Xt, dtype=float)
@@ -368,24 +368,19 @@ def _reference_tensor(Xs, Xt, pool, source, knn):
     pool, pool_feats = _features_for(Xt, pool)
     if len(pool) == 0:
         raise ValueError("degenerate target domain: no valid triangles")
-    chunks = [_features_for(Xs, tri) for tri in source]
-    chunks = [(tri, feats) for tri, feats in chunks if len(tri)]
-    if not chunks:
+    source, feats = _features_for(Xs, source)
+    if len(source) == 0:
         raise ValueError("degenerate source domain: no valid triangles")
     k = min(knn, len(pool))
 
-    # per-node chunks keep the knn distance matrices small
-    pair_parts = []
-    d2_parts = []
-    for tri, feats in chunks:
-        d2 = pairwise_sq_dists(feats, pool_feats)
-        # stable ordering so nearest-triangle ties resolve by sampling order
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        d2_parts.append(np.take_along_axis(d2, order, axis=1).ravel())
-        src_rep = np.repeat(tri, k, axis=0)
-        pair_parts.append(src_rep * nt + pool[order.ravel()])
-    cand_d2 = np.concatenate(d2_parts)
-    pairs = np.vstack(pair_parts)  # (num candidates, 3) pair indices
+    # squared feature distances of all source triangles in one matrix,
+    # summed over the three sines in order
+    d2 = sum((f[:, None] - p) ** 2 for f, p in zip(feats.T, pool_feats.T))
+    # a stable ordering, so nearest-triangle ties resolve by sampling order;
+    # each row's kept columns then go back to ascending order
+    order = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+    cand_d2 = np.take_along_axis(d2, order, axis=1).ravel()
+    pairs = np.repeat(source, k, axis=0) * nt + pool[order.ravel()]  # (num candidates, 3)
 
     mean_sq = float(cand_d2.mean())
     gamma = 1.0 if mean_sq == 0.0 else 1.0 / mean_sq

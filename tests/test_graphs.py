@@ -298,16 +298,17 @@ REFERENCE_CASES = {
     ),
     "800-d": (*normals(4, 12, 15, 800), dict(t_per_node=10, knn=30, pool_factor=5, seed=2)),
     # nodes among the coincident points keep fewer triangles: at seed 1 one
-    # keeps none, at seed 4 one keeps a single triangle, which the build
-    # must score alone as the per-node reference does
+    # keeps none, at seed 4 one keeps a single triangle, so the build's
+    # fixed blocks of source triangles straddle nodes
     "coincident-empty-node": (*coincident_source(), dict(t_per_node=7, knn=20, pool_factor=5, seed=1)),
     "coincident-one-triangle": (*coincident_source(), dict(t_per_node=7, knn=20, pool_factor=5, seed=4)),
 }
 
 
 class TestMatchesFullSortReference:
-    """The partial-selection build returns the full-sort build's tensor bit
-    for bit: same entries in the same order, same dtypes, same gamma."""
+    """The blocked, partial-selection build returns the unblocked full-sort
+    build's tensor bit for bit: same entries in the same order, same
+    dtypes, same gamma."""
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_bit_identical(self, case):

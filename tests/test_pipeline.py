@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import warnings
 
 import numpy as np
@@ -468,3 +469,38 @@ class TestRotationRecovery:
                 )
         assert float(np.mean(accs)) >= 0.9
         assert worst <= 1e-3
+
+
+class TestOfficeShape:
+    def test_one_adapt_at_criterion_7_shape_is_feasible_and_finite(self, monkeypatch):
+        # criterion 7's shape and budget on Gaussian data: a 10-class source
+        # of 200 points against 480 target points in 800-d, lam3 = 0.01,
+        # N_T = 2. Each round's matching is kept as cg_solve returns it, and
+        # its marginals and lowest entry are computed here. Budget: 15 s
+        # (about 2.5 s on a 2-core machine with one BLAS thread)
+        rng = np.random.default_rng(0)
+        source = LabeledDataset(rng.normal(size=(200, 800)), 1 + np.arange(200) % 10, 10)
+        target = rng.normal(size=(480, 800))
+        matchings = []
+
+        def keep_matching(*args, **kwargs):
+            C, diag = solver.cg_solve(*args, **kwargs)
+            matchings.append(C)
+            return C, diag
+
+        monkeypatch.setattr(pipeline, "cg_solve", keep_matching)
+        cfg = AdaptationConfig(lam3=0.01, n_outer=2, cg_iters=20, admm_iters=8000)
+        t0 = time.perf_counter()
+        res = adapt(source, target, cfg)
+        elapsed = time.perf_counter() - t0
+
+        assert len(matchings) == len(res.rounds) == 2
+        assert np.array_equal(matchings[-1], res.matching)
+        for C in matchings:
+            a, b = marginals(*C.shape)
+            assert np.abs(C.sum(axis=1) - a).max() <= 1e-3
+            assert np.abs(C.sum(axis=0) - b).max() <= 1e-3
+            assert C.min() >= -1e-4
+        assert np.isfinite(res.adapted).all()
+        assert all(r["tensor_entries"] > 0 for r in res.rounds)
+        assert elapsed < 15.0
